@@ -20,6 +20,9 @@ constexpr std::size_t kMaxGrantsPerBody = 96;
 // without limit.
 constexpr std::size_t kMaxFutureBodies = 256;
 
+// Sort key of LLFT's per-source held FIFO.
+constexpr auto kHeldSeq = [](const auto& e) { return e.frame.header.sequence_number; };
+
 [[nodiscard]] bool is_membership_change(MessageType t) {
   return t == MessageType::kAddProcessor || t == MessageType::kRemoveProcessor;
 }
@@ -66,8 +69,15 @@ LlftOrdering::LlftOrdering(ProcessorId self, const Config& config)
 LlftOrdering::~LlftOrdering() { llft_metrics_.sessions.add(-1); }
 
 SeqNum LlftOrdering::floor_of(ProcessorId src) const {
-  auto it = floor_.find(src);
-  return it == floor_.end() ? 0 : it->second;
+  const Stream* st = streams_.find(src);
+  return st == nullptr ? 0 : st->floor;
+}
+
+std::size_t LlftOrdering::held_index(const Stream& st, SeqNum seq) {
+  const std::size_t i = st.held.lower_bound(seq, kHeldSeq);
+  return i < st.held.size() && st.held[i].frame.header.sequence_number == seq
+             ? i
+             : st.held.size();
 }
 
 bool LlftOrdering::eligible(ProcessorId m) const {
@@ -80,17 +90,18 @@ void LlftOrdering::recompute_granter() {
   const bool old_have = have_granter_;
   const ProcessorId old = granter_;
   have_granter_ = false;
-  for (ProcessorId p : members_) {
+  const std::vector<ProcessorId> current = members();
+  for (ProcessorId p : current) {
     if (eligible(p)) {
       granter_ = p;
       have_granter_ = true;
       break;
     }
   }
-  if (!have_granter_ && !members_.empty()) {
+  if (!have_granter_ && !current.empty()) {
     // Nobody predates the current view (bootstrap, or every established
     // member crashed): fall back to the smallest id — still deterministic.
-    granter_ = *members_.begin();
+    granter_ = current.front();
     have_granter_ = true;
   }
   if (!have_granter_) granter_ = ProcessorId{};
@@ -116,27 +127,21 @@ void LlftOrdering::note_joined_epoch(ProcessorId member, Timestamp epoch) {
 
 void LlftOrdering::apply_floors(const std::vector<SourceSeq>& floors) {
   for (const SourceSeq& f : floors) {
-    SeqNum& fl = floor_[f.processor];
-    if (f.seq <= fl) continue;
-    fl = f.seq;
-    auto hs = held_.find(f.processor);
-    if (hs != held_.end()) {
-      auto& m = hs->second;
-      auto end = m.upper_bound(fl);
-      for (auto it = m.begin(); it != end; ++it) {
-        // Settled below the floor (delivered by the members before we
-        // joined, covered by our state snapshot): consume without
-        // delivering, or our resume-point reports would stick here.
-        mark_consumed(f.processor, it->first);
-        --held_count_;
-        metrics_.pending.add(-1);
-      }
-      m.erase(m.begin(), end);
+    Stream& st = streams_[f.processor];
+    if (f.seq <= st.floor) continue;
+    st.floor = f.seq;
+    Source& src = sources_[f.processor];
+    while (!st.held.empty() && st.held.front().frame.header.sequence_number <= st.floor) {
+      // Settled below the floor (delivered by the members before we
+      // joined, covered by our state snapshot): consume without
+      // delivering, or our resume-point reports would stick here.
+      mark_consumed(src, st.held.front().frame.header.sequence_number);
+      st.held.pop_front();
+      --held_count_;
+      metrics_.pending.add(-1);
     }
-    SeqNum& g = granted_hw_[f.processor];
-    g = std::max(g, fl);
-    auto ih = issued_hw_.find(f.processor);
-    if (ih != issued_hw_.end()) ih->second = std::max(ih->second, fl);
+    st.granted_hw = std::max(st.granted_hw, st.floor);
+    st.issued_hw = std::max(st.issued_hw, st.floor);
   }
 }
 
@@ -152,16 +157,13 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
   if (body.view_ts == epoch_) {
     apply_floors(body.floors);
     for (const SourceSeq& g : body.grants) {
-      SeqNum& hw = granted_hw_[g.processor];
-      if (g.seq <= std::max(hw, floor_of(g.processor))) continue;  // re-grant
-      hw = g.seq;
+      Stream& st = streams_[g.processor];
+      if (g.seq <= std::max(st.granted_hw, st.floor)) continue;  // re-grant
+      st.granted_hw = g.seq;
       slots_.push_back({g.processor, g.seq, now});
-      auto hs = held_.find(g.processor);
-      if (hs != held_.end()) {
-        auto f = hs->second.find(g.seq);
-        if (f != hs->second.end() && now > 0 && f->second.arrival > 0) {
-          llft_metrics_.stamp_wait_ms.observe(to_ms(now - f->second.arrival));
-        }
+      const std::size_t i = held_index(st, g.seq);
+      if (i < st.held.size() && now > 0 && st.held[i].arrival > 0) {
+        llft_metrics_.stamp_wait_ms.observe(to_ms(now - st.held[i].arrival));
       }
     }
   } else if (body.view_ts > epoch_) {
@@ -188,35 +190,29 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
 
 void LlftOrdering::grant_ready(ProcessorId src) {
   if (!leading() || suspended_) return;
-  auto [ih, inserted] = issued_hw_.try_emplace(src, 0);
-  SeqNum& hw = ih->second;
-  auto gh = granted_hw_.find(src);
-  hw = std::max({hw, floor_of(src),
-                 gh == granted_hw_.end() ? 0 : gh->second});
-  auto hs = held_.find(src);
-  if (hs == held_.end()) return;
-  auto& m = hs->second;
+  Stream& st = streams_[src];
+  st.issued_hw = std::max({st.issued_hw, st.floor, st.granted_hw});
   // Every held frame already cleared RMP's contiguous gate, so seq gaps
   // between held entries are non-totally-ordered messages on the same
   // stream (the leader's own OrderInfo, Suspect, Membership) — grant
   // straight across them, in seq order.
-  auto it = m.upper_bound(hw);
-  while (it != m.end()) {
-    hw = it->first;
-    pending_grants_.push_back({src, hw});
+  for (std::size_t i = st.held.lower_bound(st.issued_hw + 1, kHeldSeq); i < st.held.size();
+       ++i) {
+    const Header& h = st.held[i].frame.header;
+    st.issued_hw = h.sequence_number;
+    pending_grants_.push_back({src, st.issued_hw});
     llft_metrics_.grants.add();
-    if (is_membership_change(it->second.frame.header.type)) {
+    if (is_membership_change(h.type)) {
       // §7: "the ordering of messages stops" — no grants may trail a
       // membership change, so the slot queue is empty when it installs.
       suspended_ = true;
       return;
     }
-    ++it;
   }
 }
 
 void LlftOrdering::sweep_ungranted() {
-  for (ProcessorId m : members_) {
+  for (ProcessorId m : members()) {
     if (!leading() || suspended_) return;
     grant_ready(m);
   }
@@ -228,7 +224,7 @@ void LlftOrdering::set_view(Timestamp view_ts) {
   // Entries queued under the old epoch are void; the accession sweep below
   // re-grants whatever still needs a slot under the new tag.
   pending_grants_.clear();
-  issued_hw_.clear();
+  for (auto& [src, st] : streams_) st.issued_hw = 0;
   recompute_granter();
   auto it = future_.begin();
   while (it != future_.end() && it->first <= epoch_) {
@@ -279,18 +275,15 @@ void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
   // Totally-ordered message: same receipt bookkeeping as the Lamport
   // engine, but held per-source until its slot is granted instead of
   // entering the (timestamp, source) pending set.
-  observe_header(h);
-  Timestamp& b = bounds_[h.source];
-  b = std::max(b, h.message_timestamp);
-  unstable_[h.source][h.message_timestamp] = h.sequence_number;
-  if (h.sequence_number <= floor_of(h.source)) {
+  Source& src = note_receipt(h);
+  Stream& st = streams_[h.source];
+  if (h.sequence_number <= st.floor) {
     // Settled below an advisory floor (pre-join backlog): never delivered
     // here — the state snapshot covers it.
-    mark_consumed(h.source, h.sequence_number);
+    mark_consumed(src, h.sequence_number);
     return;
   }
-  auto& m = held_[h.source];
-  if (m.emplace(h.sequence_number, HeldEntry{frame, now}).second) {
+  if (st.held.insert_sorted(HeldEntry{frame, now}, kHeldSeq)) {
     ++held_count_;
     metrics_.pending.add(1);
     stats_.pending_peak =
@@ -299,22 +292,19 @@ void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
   grant_ready(h.source);
 }
 
-Frame LlftOrdering::deliver_held(ProcessorId src,
-                                 std::map<SeqNum, HeldEntry>::iterator it,
+Frame LlftOrdering::deliver_held(ProcessorId src, Stream& st, std::size_t i,
                                  TimePoint now, TimePoint granted_at) {
-  Frame f = std::move(it->second.frame);
-  const TimePoint arrival = it->second.arrival;
-  held_[src].erase(it);
+  Frame f = std::move(st.held[i].frame);
+  const TimePoint arrival = st.held[i].arrival;
+  st.held.erase(i);
   --held_count_;
   metrics_.pending.add(-1);
   const SeqNum seq = f.header.sequence_number;
-  SeqNum& fl = floor_[src];
-  fl = std::max(fl, seq);
-  SeqNum& g = granted_hw_[src];
-  g = std::max(g, fl);
-  SeqNum& lo = last_ordered_[src];
-  lo = std::max(lo, seq);
-  mark_consumed(src, seq);
+  st.floor = std::max(st.floor, seq);
+  st.granted_hw = std::max(st.granted_hw, st.floor);
+  Source& s = sources_[src];
+  s.last_ordered = std::max(s.last_ordered, seq);
+  mark_consumed(s, seq);
   if (now > 0 && arrival > 0) {
     metrics_.ordering_wait_ms.observe(to_ms(now - arrival));
   }
@@ -333,16 +323,16 @@ std::vector<Frame> LlftOrdering::collect_deliverable(TimePoint now) {
   std::vector<Frame> out;
   while (!slots_.empty()) {
     const Slot s = slots_.front();
-    if (s.seq <= floor_of(s.src)) {
+    Stream* st = streams_.find(s.src);
+    if (s.seq <= (st == nullptr ? 0 : st->floor)) {
       slots_.pop_front();  // settled by an advisory floor
       continue;
     }
-    auto hs = held_.find(s.src);
-    if (hs == held_.end()) break;
-    auto it = hs->second.find(s.seq);
-    if (it == hs->second.end()) break;  // in flight: RMP NACK recovery runs
+    if (st == nullptr) break;
+    const std::size_t i = held_index(*st, s.seq);
+    if (i == st->held.size()) break;  // in flight: RMP NACK recovery runs
     slots_.pop_front();
-    out.push_back(deliver_held(s.src, it, now, s.granted_at));
+    out.push_back(deliver_held(s.src, *st, i, now, s.granted_at));
     if (out.back().header.type != MessageType::kRegular) {
       // Membership-affecting message: the session applies it (and the view
       // change re-keys the grant epoch) before ordering continues.
@@ -365,15 +355,14 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
   while (!slots_.empty()) {
     const Slot s = slots_.front();
     slots_.pop_front();
-    if (s.seq <= floor_of(s.src)) continue;
+    Stream* st = streams_.find(s.src);
+    if (s.seq <= (st == nullptr ? 0 : st->floor)) continue;
     auto c = cuts.find(s.src);
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
-    if (s.seq <= limit) {
-      auto hs = held_.find(s.src);
-      auto it = hs == held_.end() ? std::map<SeqNum, HeldEntry>::iterator{}
-                                  : hs->second.find(s.seq);
-      if (hs != held_.end() && it != hs->second.end()) {
-        out.push_back(deliver_held(s.src, it, 0, s.granted_at));
+    if (s.seq <= limit && st != nullptr) {
+      const std::size_t i = held_index(*st, s.seq);
+      if (i < st->held.size()) {
+        out.push_back(deliver_held(s.src, *st, i, 0, s.granted_at));
         continue;
       }
     }
@@ -384,31 +373,29 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
   //    Lamport (timestamp, source) order — deterministic without a leader.
   std::map<std::pair<Timestamp, std::uint32_t>, std::pair<ProcessorId, SeqNum>>
       rest;
-  for (const auto& [src, m] : held_) {
+  for (const auto& [src, st] : streams_) {
     auto c = cuts.find(src);
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
-    for (const auto& [seq, e] : m) {
-      if (seq > limit) break;
-      rest.emplace(
-          std::make_pair(e.frame.header.message_timestamp, src.raw()),
-          std::make_pair(src, seq));
+    for (std::size_t i = 0; i < st.held.size(); ++i) {
+      const Header& h = st.held[i].frame.header;
+      if (h.sequence_number > limit) break;
+      rest.emplace(std::make_pair(h.message_timestamp, src.raw()),
+                   std::make_pair(src, h.sequence_number));
     }
   }
   for (const auto& [key, ref] : rest) {
-    auto hs = held_.find(ref.first);
-    if (hs == held_.end()) continue;
-    auto it = hs->second.find(ref.second);
-    if (it == hs->second.end()) continue;
-    out.push_back(deliver_held(ref.first, it, 0, 0));
+    Stream& st = *streams_.find(ref.first);
+    const std::size_t i = held_index(st, ref.second);
+    if (i == st.held.size()) continue;
+    out.push_back(deliver_held(ref.first, st, i, 0, 0));
   }
   // 3. A non-survivor's held messages beyond the cut will never be granted.
-  for (auto& [src, m] : held_) {
+  for (auto& [src, st] : streams_) {
     if (survivors.contains(src)) continue;
     auto c = cuts.find(src);
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
-    auto it = m.upper_bound(limit);
-    while (it != m.end()) {
-      it = m.erase(it);
+    while (!st.held.empty() && st.held.back().frame.header.sequence_number > limit) {
+      st.held.pop_back();
       --held_count_;
       metrics_.pending.add(-1);
     }
@@ -428,7 +415,7 @@ std::vector<Body> LlftOrdering::take_protocol_sends() {
     advisory_pending_ = false;
     OrderInfoBody adv;
     adv.view_ts = epoch_;
-    for (ProcessorId m : members_) {
+    for (ProcessorId m : members()) {
       const SeqNum f = floor_of(m);
       if (f > 0) adv.floors.push_back({m, f});
     }
@@ -460,15 +447,11 @@ void LlftOrdering::set_recovering(bool active) {
 void LlftOrdering::remove_member(ProcessorId member, bool drop_pending) {
   Romp::remove_member(member, drop_pending);
   joined_epoch_.erase(member);
-  auto hs = held_.find(member);
-  if (hs != held_.end()) {
-    held_count_ -= hs->second.size();
-    metrics_.pending.add(-static_cast<std::int64_t>(hs->second.size()));
-    held_.erase(hs);
+  if (Stream* st = streams_.find(member)) {
+    held_count_ -= st->held.size();
+    metrics_.pending.add(-static_cast<std::int64_t>(st->held.size()));
+    streams_.erase(member);
   }
-  floor_.erase(member);
-  granted_hw_.erase(member);
-  issued_hw_.erase(member);
   // Slots referencing the member are either delivered (planned removes:
   // FIFO puts them before the change slot) or truncated by the install
   // drain before this call; purge defensively.
@@ -478,15 +461,13 @@ void LlftOrdering::remove_member(ProcessorId member, bool drop_pending) {
 
 void LlftOrdering::reset_source(ProcessorId src, SeqNum floor) {
   Romp::reset_source(src, floor);
-  auto hs = held_.find(src);
-  if (hs != held_.end()) {
-    held_count_ -= hs->second.size();
-    metrics_.pending.add(-static_cast<std::int64_t>(hs->second.size()));
-    held_.erase(hs);
-  }
-  floor_[src] = floor;
-  granted_hw_[src] = floor;
-  issued_hw_[src] = floor;
+  Stream& st = streams_[src];
+  held_count_ -= st.held.size();
+  metrics_.pending.add(-static_cast<std::int64_t>(st.held.size()));
+  st.held.clear();
+  st.floor = floor;
+  st.granted_hw = floor;
+  st.issued_hw = floor;
   std::erase_if(slots_, [&](const Slot& s) { return s.src == src; });
 }
 

@@ -95,6 +95,17 @@ class LlftOrdering : public Romp {
     Frame frame;
     TimePoint arrival = 0;
   };
+  /// Per-source stream state.
+  struct Stream {
+    // Delivered high-water mark (grants at or below it are settled).
+    SeqNum floor = 0;
+    // Highest grant consumed from the leader (dedups re-grants).
+    SeqNum granted_hw = 0;
+    // Highest grant issued by this member as leader.
+    SeqNum issued_hw = 0;
+    // Totally-ordered frames held until their slot comes up, by seq.
+    Ring<HeldEntry> held;
+  };
   struct Slot {
     ProcessorId src{};
     SeqNum seq = 0;
@@ -113,10 +124,12 @@ class LlftOrdering : public Romp {
   void consume_order_info(ProcessorId from, const OrderInfoBody& body,
                           TimePoint now);
   void apply_floors(const std::vector<SourceSeq>& floors);
-  /// Delivers one held message (bookkeeping + metrics); the caller already
-  /// decided it is next in the total order.
-  Frame deliver_held(ProcessorId src, std::map<SeqNum, HeldEntry>::iterator it,
-                     TimePoint now, TimePoint granted_at);
+  /// Position of `seq` in `st.held`, or st.held.size() if not held.
+  [[nodiscard]] static std::size_t held_index(const Stream& st, SeqNum seq);
+  /// Delivers held entry `i` of `src`'s stream (bookkeeping + metrics); the
+  /// caller already decided it is next in the total order.
+  Frame deliver_held(ProcessorId src, Stream& st, std::size_t i, TimePoint now,
+                     TimePoint granted_at);
 
   // Process-global instruments shared by every LLFT instance
   // (docs/METRICS.md).
@@ -146,14 +159,7 @@ class LlftOrdering : public Romp {
   std::unordered_map<ProcessorId, Timestamp> joined_epoch_;
 
   // ---- per-source stream state ----
-  // Delivered high-water mark (grants at or below it are settled).
-  std::unordered_map<ProcessorId, SeqNum> floor_;
-  // Highest grant consumed from the leader (dedups re-grants).
-  std::unordered_map<ProcessorId, SeqNum> granted_hw_;
-  // Highest grant issued by this member as leader.
-  std::unordered_map<ProcessorId, SeqNum> issued_hw_;
-  // Totally-ordered frames held until their slot comes up.
-  std::unordered_map<ProcessorId, std::map<SeqNum, HeldEntry>> held_;
+  SourceTable<Stream> streams_;
   std::size_t held_count_ = 0;
 
   // ---- slot machine ----

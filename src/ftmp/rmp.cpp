@@ -1,6 +1,7 @@
 #include "ftmp/rmp.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -108,7 +109,8 @@ void Rmp::add_source(ProcessorId src, SeqNum expect_after, Timestamp min_timesta
   st.contiguous = expect_after;
   st.highest_seen = expect_after;
   st.min_timestamp = min_timestamp;
-  sources_.insert_or_assign(src, std::move(st));
+  auto [it, inserted] = sources_.insert_or_assign(src, std::move(st));
+  streams_[src].state = &it->second;
 }
 
 void Rmp::remove_source(ProcessorId src) {
@@ -116,58 +118,73 @@ void Rmp::remove_source(ProcessorId src) {
   if (it == sources_.end()) return;
   metrics_.out_of_order.add(-static_cast<std::int64_t>(it->second.out_of_order.size()));
   sources_.erase(it);
+  streams_.find(src)->state = nullptr;
 }
 
 void Rmp::purge_store(ProcessorId src) {
-  auto it = store_.lower_bound({src.raw(), 0});
-  while (it != store_.end() && it->first.first == src.raw()) {
-    stored_bytes_ -= it->second.size();
-    metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.size()));
-    it = store_.erase(it);
-  }
-  auto rt = last_retransmit_.lower_bound({src.raw(), 0});
-  while (rt != last_retransmit_.end() && rt->first.first == src.raw()) {
-    rt = last_retransmit_.erase(rt);
-  }
+  Stream* s = streams_.find(src);
+  if (s == nullptr) return;
+  drop_stored(s->store, ~SeqNum{0});
+  if (s->state == nullptr) streams_.erase(src);
 }
 
-bool Rmp::has_source(ProcessorId src) const { return sources_.contains(src); }
+void Rmp::drop_stored(SeqWindow<Stored>& store, SeqNum up_to) {
+  std::size_t bytes = 0;
+  store.trim(up_to, [&](const Stored& m) {
+    bytes += m.raw.size();
+    --stored_count_;
+  });
+  stored_bytes_ -= bytes;
+  if (bytes > 0) metrics_.store_bytes.add(-static_cast<std::int64_t>(bytes));
+}
+
+Rmp::SourceState* Rmp::tracked(ProcessorId src) const {
+  const Stream* s = streams_.find(src);
+  return s == nullptr ? nullptr : s->state;
+}
+
+bool Rmp::has_source(ProcessorId src) const { return tracked(src) != nullptr; }
 
 std::vector<ProcessorId> Rmp::sources() const {
   std::vector<ProcessorId> out;
   out.reserve(sources_.size());
-  for (const auto& [src, st] : sources_) out.push_back(src);
-  std::sort(out.begin(), out.end());
+  for (const auto& [src, s] : streams_) {
+    if (s.state != nullptr) out.push_back(src);
+  }
   return out;
 }
 
 SeqNum Rmp::contiguous(ProcessorId src) const {
-  auto it = sources_.find(src);
-  return it == sources_.end() ? 0 : it->second.contiguous;
+  const SourceState* st = tracked(src);
+  return st == nullptr ? 0 : st->contiguous;
 }
 
 SeqNum Rmp::highest_seen(ProcessorId src) const {
-  auto it = sources_.find(src);
-  return it == sources_.end() ? 0 : it->second.highest_seen;
+  const SourceState* st = tracked(src);
+  return st == nullptr ? 0 : st->highest_seen;
 }
 
 bool Rmp::complete(ProcessorId src) const {
-  auto it = sources_.find(src);
-  return it == sources_.end() || it->second.contiguous == it->second.highest_seen;
+  const SourceState* st = tracked(src);
+  return st == nullptr || st->contiguous == st->highest_seen;
 }
 
 void Rmp::store(ProcessorId src, SeqNum seq, SharedBytes raw) {
-  auto key = std::make_pair(src.raw(), seq);
-  if (store_.contains(key)) return;
+  store_in(streams_[src].store, seq, std::move(raw));
+}
+
+void Rmp::store_in(SeqWindow<Stored>& store, SeqNum seq, SharedBytes raw) {
   // The slice is kept exactly as transmitted/received ("The retransmitted
   // message is identical to the original", §5). The retransmission flag —
   // "true for all subsequent retransmissions", §3.2 — is patched into a
   // pooled copy by with_retransmission_flag only when a retransmission is
   // actually sent, so storing a received message pins the arrival buffer
-  // instead of copying it.
-  stored_bytes_ += raw.size();
-  metrics_.store_bytes.add(static_cast<std::int64_t>(raw.size()));
-  store_.emplace(key, std::move(raw));
+  // instead of copying it. A seq already stored keeps its first copy.
+  const std::size_t size = raw.size();
+  if (!store.insert(seq, Stored{std::move(raw)})) return;
+  stored_bytes_ += size;
+  ++stored_count_;
+  metrics_.store_bytes.add(static_cast<std::int64_t>(size));
 }
 
 std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
@@ -176,14 +193,14 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
   RmpAccept& disposed = accept ? *accept : sink;
   const ProcessorId src = frame.header.source;
   const SeqNum seq = frame.header.sequence_number;
-  auto it = sources_.find(src);
-  if (it == sources_.end()) {
+  Stream* stream = streams_.find(src);
+  if (stream == nullptr || stream->state == nullptr) {
     stats_.dropped_unknown_source += 1;
     metrics_.dropped_unknown.add();
     disposed = RmpAccept::kUnknownSource;
     return {};
   }
-  SourceState& st = it->second;
+  SourceState& st = *stream->state;
 
   if (frame.header.message_timestamp <= st.min_timestamp) {
     // A straggler from a previous incarnation of this source id (e.g. a
@@ -194,14 +211,14 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     disposed = RmpAccept::kStaleIncarnation;
     return {};
   }
-  if (seq <= st.contiguous || st.out_of_order.contains(seq)) {
+  if (seq <= st.contiguous || st.out_of_order.find(seq) != nullptr) {
     stats_.duplicates_ignored += 1;
     metrics_.duplicates.add();
     disposed = RmpAccept::kDuplicate;
     return {};
   }
 
-  store(src, seq, frame.raw);
+  store_in(stream->store, seq, frame.raw);
   st.highest_seen = std::max(st.highest_seen, seq);
 
   std::vector<Frame> deliver;
@@ -216,21 +233,21 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     st.contiguous = seq;
     stats_.delivered_in_order += 1;
     deliver.push_back(std::move(frame));
-    // Drain any buffered messages that are now contiguous.
-    auto next = st.out_of_order.find(st.contiguous + 1);
-    while (next != st.out_of_order.end()) {
-      st.contiguous = next->first;
-      stats_.delivered_in_order += 1;
-      deliver.push_back(std::move(next->second));
-      st.out_of_order.erase(next);
-      metrics_.out_of_order.add(-1);
-      next = st.out_of_order.find(st.contiguous + 1);
+    if (!st.out_of_order.empty()) {
+      // Drain any buffered messages that are now contiguous.
+      while (Frame* next = st.out_of_order.find(st.contiguous + 1)) {
+        st.contiguous += 1;
+        stats_.delivered_in_order += 1;
+        deliver.push_back(std::move(*next));
+        metrics_.out_of_order.add(-1);
+      }
+      st.out_of_order.trim(st.contiguous, [](const Frame&) {});
     }
   } else {
     if (config_.max_out_of_order_buffer == 0 ||
         st.out_of_order.size() < config_.max_out_of_order_buffer) {
       disposed = RmpAccept::kBuffered;
-      st.out_of_order.emplace(seq, std::move(frame));
+      st.out_of_order.insert(seq, std::move(frame));
       metrics_.out_of_order.add(1);
     } else {
       // At the cap the message is not buffered, but its stored copy (and
@@ -248,9 +265,9 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
 }
 
 void Rmp::on_heartbeat(TimePoint now, const Header& header) {
-  auto it = sources_.find(header.source);
-  if (it == sources_.end()) return;
-  SourceState& st = it->second;
+  SourceState* tracked_state = tracked(header.source);
+  if (tracked_state == nullptr) return;
+  SourceState& st = *tracked_state;
   // "The purpose of a Heartbeat message is to provide the other members ...
   // with the sender's current sequence number" (§5): it reveals gaps even
   // when the tail messages themselves were lost.
@@ -264,20 +281,20 @@ void Rmp::on_heartbeat(TimePoint now, const Header& header) {
 void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body) {
   const ProcessorId src = body.processor;
   if (!config_.any_holder_retransmit && src != self_) return;
+  Stream* stream = streams_.find(src);
+  if (stream == nullptr) return;
   std::size_t sent = 0;
   for (SeqNum seq = body.start_seq; seq <= body.stop_seq && sent < kMaxRetransmitBurst; ++seq) {
-    auto key = std::make_pair(src.raw(), seq);
-    auto it = store_.find(key);
-    if (it == store_.end()) continue;
-    auto last = last_retransmit_.find(key);
-    if (last != last_retransmit_.end() &&
-        now - last->second < config_.retransmit_interval) {
+    Stored* m = stream->store.find(seq);
+    if (m == nullptr) continue;
+    if (m->retransmitted && now - m->last_retransmit < config_.retransmit_interval) {
       continue;  // someone (maybe us) answered this very recently
     }
-    last_retransmit_[key] = now;
+    m->retransmitted = true;
+    m->last_retransmit = now;
     // Patch the retransmission flag into a pooled copy here, on the cold
     // path, so the store itself keeps arrival slices byte-identical.
-    output_.emplace_back(RetransmitOut{with_retransmission_flag(it->second)});
+    output_.emplace_back(RetransmitOut{with_retransmission_flag(m->raw)});
     stats_.retransmissions_sent += 1;
     metrics_.retransmits_served.add();
     ++sent;
@@ -297,20 +314,24 @@ void Rmp::queue_nacks(TimePoint now, SourceState& st, ProcessorId src) {
   // Walk the gap structure: missing runs between contiguous+1 and
   // highest_seen, skipping seqs buffered out of order.
   SeqNum cursor = st.contiguous + 1;
+  // Where the search for the next buffered seq starts. Like an iterator it
+  // never moves back, even when cursor wraps past 2^64 - 1.
+  std::optional<SeqNum> scan = cursor;
   std::size_t runs = 0;
-  auto buffered = st.out_of_order.begin();
   while (cursor <= st.highest_seen && runs < kMaxNackRunsPerTick) {
-    while (buffered != st.out_of_order.end() && buffered->first < cursor) ++buffered;
+    std::optional<SeqNum> buffered;
+    if (scan) {
+      scan = std::max(*scan, cursor);
+      buffered = st.out_of_order.next_at_or_after(*scan);
+    }
     SeqNum run_end;
-    if (buffered != st.out_of_order.end() && buffered->first <= st.highest_seen) {
-      if (buffered->first == cursor) {  // not missing; skip the buffered run
-        while (buffered != st.out_of_order.end() && buffered->first == cursor) {
-          ++cursor;
-          ++buffered;
-        }
+    if (buffered && *buffered <= st.highest_seen) {
+      if (*buffered == cursor) {  // not missing; skip the buffered seq
+        scan = *buffered == ~SeqNum{0} ? std::nullopt : std::optional(*buffered + 1);
+        ++cursor;
         continue;
       }
-      run_end = buffered->first - 1;
+      run_end = *buffered - 1;
     } else {
       run_end = st.highest_seen;
     }
@@ -331,18 +352,19 @@ void Rmp::on_tick(TimePoint now) {
 }
 
 void Rmp::note_exists(TimePoint now, ProcessorId src, SeqNum seq) {
-  auto it = sources_.find(src);
-  if (it == sources_.end()) return;
-  SourceState& st = it->second;
+  SourceState* tracked_state = tracked(src);
+  if (tracked_state == nullptr) return;
+  SourceState& st = *tracked_state;
   if (seq > st.highest_seen) st.highest_seen = seq;
   update_gap_state(now, st);
   if (st.highest_seen > st.contiguous) queue_nacks(now, st, src);
 }
 
 std::optional<BytesView> Rmp::stored(ProcessorId src, SeqNum seq) const {
-  auto it = store_.find({src.raw(), seq});
-  if (it == store_.end()) return std::nullopt;
-  return it->second.view();
+  const Stream* s = streams_.find(src);
+  const Stored* m = s == nullptr ? nullptr : s->store.find(seq);
+  if (m == nullptr) return std::nullopt;
+  return m->raw.view();
 }
 
 void Rmp::pin_store(std::uint32_t token,
@@ -362,17 +384,7 @@ void Rmp::release(ProcessorId src, SeqNum up_to) {
     auto it = pin.find(src.raw());
     if (it != pin.end() && it->second < up_to) up_to = it->second;
   }
-  auto it = store_.lower_bound({src.raw(), 0});
-  while (it != store_.end() && it->first.first == src.raw() && it->first.second <= up_to) {
-    stored_bytes_ -= it->second.size();
-    metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.size()));
-    it = store_.erase(it);
-  }
-  auto rt = last_retransmit_.lower_bound({src.raw(), 0});
-  while (rt != last_retransmit_.end() && rt->first.first == src.raw() &&
-         rt->first.second <= up_to) {
-    rt = last_retransmit_.erase(rt);
-  }
+  if (Stream* s = streams_.find(src)) drop_stored(s->store, up_to);
 }
 
 std::vector<RmpOut> Rmp::take_output() {
@@ -380,8 +392,6 @@ std::vector<RmpOut> Rmp::take_output() {
   out.swap(output_);
   return out;
 }
-
-std::size_t Rmp::stored_count() const { return store_.size(); }
 
 std::size_t Rmp::out_of_order_count() const {
   std::size_t n = 0;

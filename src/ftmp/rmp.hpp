@@ -22,6 +22,7 @@
 #include "common/metrics.hpp"
 #include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
+#include "ftmp/source_table.hpp"
 
 namespace ftcorba::ftmp {
 
@@ -199,7 +200,7 @@ class Rmp {
   /// Bytes currently held in the retransmission store.
   [[nodiscard]] std::size_t stored_bytes() const { return stored_bytes_; }
   /// Messages currently held in the retransmission store.
-  [[nodiscard]] std::size_t stored_count() const;
+  [[nodiscard]] std::size_t stored_count() const { return stored_count_; }
   /// Messages buffered out-of-order (received, awaiting gap fill).
   [[nodiscard]] std::size_t out_of_order_count() const;
   /// Layer counters.
@@ -210,7 +211,7 @@ class Rmp {
     SeqNum contiguous = 0;    // all seqs <= this received
     SeqNum highest_seen = 0;  // max seq observed (gaps possible)
     Timestamp min_timestamp = 0;  // incarnation floor (see add_source)
-    std::map<SeqNum, Frame> out_of_order;
+    SeqWindow<Frame> out_of_order;
     TimePoint last_nack = -1'000'000'000;
     TimePoint gap_open_since = -1;  // when the oldest open gap was detected
     // Consecutive NACK rounds issued without delivery progress from this
@@ -235,6 +236,26 @@ class Rmp {
     metrics::HistogramHandle backoff_interval_ms;
   };
 
+  /// One stored message: the bytes as transmitted, plus when this
+  /// processor last re-multicast it (rate limit for any-holder answers).
+  struct Stored {
+    SharedBytes raw;
+    TimePoint last_retransmit = 0;
+    bool retransmitted = false;
+  };
+
+  /// Per-source slot of the dense table: the tracked stream (null once the
+  /// source is removed) and the retransmission store, which outlives it
+  /// until purge_store. Stability trims the store from the front.
+  struct Stream {
+    SourceState* state = nullptr;
+    SeqWindow<Stored> store;
+  };
+
+  [[nodiscard]] SourceState* tracked(ProcessorId src) const;
+  void store_in(SeqWindow<Stored>& store, SeqNum seq, SharedBytes raw);
+  /// Drops `store`'s entries with seq <= up_to from the byte accounting.
+  void drop_stored(SeqWindow<Stored>& store, SeqNum up_to);
   void update_gap_state(TimePoint now, SourceState& st);
 
   /// The NACK spacing currently in force for `st` toward `src`: the fixed
@@ -249,15 +270,19 @@ class Rmp {
   Config config_;
   SeqNum last_sent_ = 0;
   TimePoint last_sent_time_ = 0;
+  // Tracked source streams. The nodes own the state (streams_ points into
+  // them); on_tick walks this map, and its iteration order fixes the order
+  // in which NACKs for several sources go on the wire.
   std::unordered_map<ProcessorId, SourceState> sources_;
-  // Retransmission store: (source, seq) -> encoded message, byte-identical
-  // to the original transmission (for received messages this is a slice of
-  // the arrival buffer; the retransmission flag is patched at send time).
-  std::map<std::pair<std::uint32_t, SeqNum>, SharedBytes> store_;
+  // Dense per-source table serving every per-message lookup. The store
+  // holds encoded messages byte-identical to the original transmission
+  // (for received messages a slice of the arrival buffer; the
+  // retransmission flag is patched at send time).
+  SourceTable<Stream> streams_;
   // Active store pins: token -> (source -> keep messages with seq > floor).
   std::map<std::uint32_t, std::map<std::uint32_t, SeqNum>> pins_;
-  std::map<std::pair<std::uint32_t, SeqNum>, TimePoint> last_retransmit_;
   std::size_t stored_bytes_ = 0;
+  std::size_t stored_count_ = 0;
   std::vector<RmpOut> output_;
   RmpStats stats_;
   Instruments metrics_;

@@ -62,153 +62,187 @@ Romp::Romp(ProcessorId self, const Config& config)
       "timestamp", "romp", metrics::timestamp_gap_buckets());
 }
 
-void Romp::erase_pending(
-    std::map<std::pair<Timestamp, std::uint32_t>, Frame>::iterator it) {
-  pending_arrival_.erase(it->first);
-  pending_.erase(it);
-  metrics_.pending.add(-1);
+void Romp::refresh_minima() {
+  min_bound_ = kNoMember;
+  min_ack_ = kNoMember;
+  for (const auto& [id, s] : sources_) {
+    if (!s.member) continue;
+    min_bound_ = std::min(min_bound_, s.bound);
+    min_ack_ = std::min(min_ack_, s.last_ack);
+  }
 }
 
 void Romp::set_members(const std::vector<ProcessorId>& members) {
-  members_.clear();
-  members_.insert(members.begin(), members.end());
+  for (auto& [id, s] : sources_) s.member = false;
+  for (ProcessorId m : members) sources_[m].member = true;
+  member_count_ = 0;
+  for (const auto& [id, s] : sources_) member_count_ += s.member ? 1 : 0;
+  refresh_minima();
 }
 
 void Romp::add_member(ProcessorId member, Timestamp initial_bound) {
-  members_.insert(member);
-  Timestamp& b = bounds_[member];
-  b = std::max(b, initial_bound);
+  Source& s = sources_[member];
+  if (!s.member) ++member_count_;
+  s.member = true;
+  s.bound = std::max(s.bound, initial_bound);
+  refresh_minima();
 }
 
 void Romp::reset_source(ProcessorId src, SeqNum floor) {
-  consumed_up_to_[src] = floor;
-  consumed_ahead_.erase(src);
-  last_ordered_[src] = floor;
-  unstable_.erase(src);
+  Source& s = sources_[src];
+  s.consumed = floor;
+  s.consumed_ahead.clear();
+  s.last_ordered = floor;
+  s.unstable.clear();
 }
 
 void Romp::remove_member(ProcessorId member, bool drop_pending) {
-  members_.erase(member);
-  bounds_.erase(member);
-  last_acks_.erase(member);
-  unstable_.erase(member);
-  if (drop_pending) {
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.header.source == member) {
-        auto victim = it++;
-        erase_pending(victim);
-      } else {
-        ++it;
-      }
-    }
+  Source* s = sources_.find(member);
+  if (s == nullptr) return;
+  if (s->member) --member_count_;
+  s->member = false;
+  s->bound = 0;
+  s->last_ack = 0;
+  s->unstable.clear();
+  if (drop_pending && !s->pending.empty()) {
+    pending_count_ -= s->pending.size();
+    metrics_.pending.add(-static_cast<std::int64_t>(s->pending.size()));
+    s->pending.clear();
   }
+  refresh_minima();
 }
 
 std::vector<ProcessorId> Romp::members() const {
-  return {members_.begin(), members_.end()};
+  std::vector<ProcessorId> out;
+  out.reserve(member_count_);
+  for (const auto& [id, s] : sources_) {
+    if (s.member) out.push_back(id);
+  }
+  return out;
 }
 
-Timestamp Romp::ack_timestamp() const {
-  Timestamp acc = clock_.latest();
-  for (ProcessorId q : members_) {
-    auto it = bounds_.find(q);
-    const Timestamp b = it == bounds_.end() ? 0 : it->second;
-    acc = std::min(acc, b);
-  }
-  return acc;
+bool Romp::is_member(ProcessorId p) const {
+  const Source* s = sources_.find(p);
+  return s != nullptr && s->member;
 }
+
+Timestamp Romp::ack_timestamp() const { return std::min(clock_.latest(), min_bound_); }
 
 Timestamp Romp::bound(ProcessorId q) const {
-  auto it = bounds_.find(q);
-  return it == bounds_.end() ? 0 : it->second;
+  const Source* s = sources_.find(q);
+  return s == nullptr ? 0 : s->bound;
 }
 
-Timestamp Romp::min_bound() const {
-  if (members_.empty()) return 0;
-  Timestamp acc = ~Timestamp{0};
-  for (ProcessorId q : members_) acc = std::min(acc, bound(q));
-  return acc;
-}
+Timestamp Romp::min_bound() const { return member_count_ == 0 ? 0 : min_bound_; }
 
-void Romp::observe_header(const Header& h) {
+Romp::Source& Romp::observe_header(const Header& h) {
   clock_.witness(h.message_timestamp);
-  Timestamp& ack = last_acks_[h.source];
-  ack = std::max(ack, h.ack_timestamp);
+  Source& s = sources_[h.source];
+  if (h.ack_timestamp > s.last_ack) {
+    const Timestamp old = s.last_ack;
+    s.last_ack = h.ack_timestamp;
+    if (s.member && old == min_ack_) refresh_minima();
+  }
+  return s;
+}
+
+void Romp::raise_bound(Source& s, Timestamp t) {
+  if (t <= s.bound) return;
+  const Timestamp old = s.bound;
+  s.bound = t;
+  if (s.member && old == min_bound_) refresh_minima();
+}
+
+Romp::Source& Romp::note_receipt(const Header& h) {
+  Source& s = observe_header(h);
+  raise_bound(s, h.message_timestamp);
+  // Timestamps rise along a source's stream, so this appends; a repeated
+  // timestamp keeps one entry with the later seq.
+  const std::size_t i = s.unstable.lower_bound(
+      h.message_timestamp, [](const UnstableEntry& e) { return e.ts; });
+  if (i < s.unstable.size() && s.unstable[i].ts == h.message_timestamp) {
+    s.unstable[i].seq = h.sequence_number;
+  } else {
+    s.unstable.insert(i, UnstableEntry{h.message_timestamp, h.sequence_number});
+  }
+  return s;
 }
 
 void Romp::on_source_ordered(const Frame& frame, TimePoint now) {
   const Header& h = frame.header;
-  observe_header(h);
-  Timestamp& b = bounds_[h.source];
-  b = std::max(b, h.message_timestamp);
-  unstable_[h.source][h.message_timestamp] = h.sequence_number;
+  Source& s = note_receipt(h);
   if (is_totally_ordered(h.type)) {
-    const auto key = std::make_pair(h.message_timestamp, h.source.raw());
-    if (pending_.emplace(key, frame).second) {
-      pending_arrival_.emplace(key, now);
+    // A duplicate (timestamp, source) keeps the frame already pending.
+    if (s.pending.insert_sorted(PendingEntry{frame, now},
+                                [](const PendingEntry& e) { return e.frame.header.message_timestamp; })) {
+      ++pending_count_;
+      head_floor_ = std::min(head_floor_, h.message_timestamp);
       metrics_.pending.add(1);
     }
-    stats_.pending_peak = std::max<std::uint64_t>(stats_.pending_peak, pending_.size());
+    stats_.pending_peak = std::max<std::uint64_t>(stats_.pending_peak, pending_count_);
   } else {
     // Suspect/Membership: consumed by PGMP right away (Fig. 3: reliable,
     // source-ordered, not totally ordered).
-    mark_consumed(h.source, h.sequence_number);
+    mark_consumed(s, h.sequence_number);
   }
 }
 
-void Romp::mark_consumed(ProcessorId src, SeqNum seq) {
-  SeqNum& up_to = consumed_up_to_[src];
-  if (seq != up_to + 1) {
-    if (seq > up_to) consumed_ahead_[src].insert(seq);
+void Romp::mark_consumed(Source& s, SeqNum seq) {
+  if (seq != s.consumed + 1) {
+    if (seq > s.consumed) s.consumed_ahead.insert_sorted(seq, [](SeqNum v) { return v; });
     return;
   }
-  up_to = seq;
-  auto& ahead = consumed_ahead_[src];
-  auto it = ahead.begin();
-  while (it != ahead.end() && *it == up_to + 1) {
-    up_to = *it;
-    it = ahead.erase(it);
+  s.consumed = seq;
+  while (!s.consumed_ahead.empty() && s.consumed_ahead.front() == s.consumed + 1) {
+    s.consumed = s.consumed_ahead.front();
+    s.consumed_ahead.pop_front();
   }
 }
 
 SeqNum Romp::consumed_up_to(ProcessorId src) const {
-  auto it = consumed_up_to_.find(src);
-  return it == consumed_up_to_.end() ? 0 : it->second;
+  const Source* s = sources_.find(src);
+  return s == nullptr ? 0 : s->consumed;
 }
 
 void Romp::on_heartbeat(const Header& header, SeqNum contiguous_seq) {
-  observe_header(header);
-  if (header.sequence_number == contiguous_seq) {
-    Timestamp& b = bounds_[header.source];
-    b = std::max(b, header.message_timestamp);
-  }
+  Source& s = observe_header(header);
+  if (header.sequence_number == contiguous_seq) raise_bound(s, header.message_timestamp);
 }
 
 std::vector<Frame> Romp::collect_deliverable(TimePoint now) {
   std::vector<Frame> out;
-  if (pending_.empty() || members_.empty()) return out;
-  // min over members of bound; any member never heard from stalls delivery
-  // (bound 0), which is precisely the "ordering of messages stops until
-  // faulty processors are removed" behaviour of §7.
-  Timestamp min_bound = ~Timestamp{0};
-  for (ProcessorId q : members_) min_bound = std::min(min_bound, bound(q));
+  // Any member never heard from stalls delivery (bound 0), which is
+  // precisely the "ordering of messages stops until faulty processors are
+  // removed" behaviour of §7.
+  if (pending_count_ == 0 || member_count_ == 0 || head_floor_ > min_bound_) return out;
   const Timestamp stable = stable_timestamp();
-  while (!pending_.empty() && pending_.begin()->first.first <= min_bound) {
-    Frame& m = pending_.begin()->second;
-    SeqNum& lo = last_ordered_[m.header.source];
-    lo = std::max(lo, m.header.sequence_number);
-    mark_consumed(m.header.source, m.header.sequence_number);
-    const MessageType type = m.header.type;
-    const Timestamp ts = m.header.message_timestamp;
-    if (now > 0) {
-      const auto arr = pending_arrival_.find(pending_.begin()->first);
-      if (arr != pending_arrival_.end() && arr->second > 0) {
-        metrics_.ordering_wait_ms.observe(to_ms(now - arr->second));
+  for (;;) {
+    // Merge the per-source heads: smallest timestamp, ties to the smallest
+    // source id (the table is in id order).
+    Source* next = nullptr;
+    Timestamp ts = kNoMember;
+    for (auto& [id, s] : sources_) {
+      if (s.pending.empty()) continue;
+      const Timestamp t = s.pending.front().frame.header.message_timestamp;
+      if (next == nullptr || t < ts) {
+        next = &s;
+        ts = t;
       }
     }
+    head_floor_ = ts;
+    if (next == nullptr || ts > min_bound_) break;
+    PendingEntry& m = next->pending.front();
+    next->last_ordered = std::max(next->last_ordered, m.frame.header.sequence_number);
+    mark_consumed(*next, m.frame.header.sequence_number);
+    const MessageType type = m.frame.header.type;
+    if (now > 0 && m.arrival > 0) {
+      metrics_.ordering_wait_ms.observe(to_ms(now - m.arrival));
+    }
     metrics_.stability_lag.observe(ts > stable ? double(ts - stable) : 0.0);
-    out.push_back(std::move(m));
-    erase_pending(pending_.begin());
+    out.push_back(std::move(m.frame));
+    next->pending.pop_front();
+    --pending_count_;
+    metrics_.pending.add(-1);
     stats_.ordered_delivered += 1;
     metrics_.ordered_delivered.add();
     if (type != MessageType::kRegular) {
@@ -224,22 +258,15 @@ std::vector<Frame> Romp::collect_deliverable(TimePoint now) {
 }
 
 SeqNum Romp::last_ordered_seq(ProcessorId src) const {
-  auto it = last_ordered_.find(src);
-  return it == last_ordered_.end() ? 0 : it->second;
+  const Source* s = sources_.find(src);
+  return s == nullptr ? 0 : s->last_ordered;
 }
 
-Timestamp Romp::stable_timestamp() const {
-  Timestamp acc = ~Timestamp{0};
-  for (ProcessorId q : members_) {
-    auto it = last_acks_.find(q);
-    acc = std::min(acc, it == last_acks_.end() ? 0 : it->second);
-  }
-  return members_.empty() ? 0 : acc;
-}
+Timestamp Romp::stable_timestamp() const { return member_count_ == 0 ? 0 : min_ack_; }
 
 Timestamp Romp::last_ack(ProcessorId q) const {
-  auto it = last_acks_.find(q);
-  return it == last_acks_.end() ? 0 : it->second;
+  const Source* s = sources_.find(q);
+  return s == nullptr ? 0 : s->last_ack;
 }
 
 std::vector<std::pair<ProcessorId, SeqNum>> Romp::collect_stable() {
@@ -247,14 +274,16 @@ std::vector<std::pair<ProcessorId, SeqNum>> Romp::collect_stable() {
   const Timestamp stable = stable_timestamp();
   if (stable <= last_stable_) return out;
   last_stable_ = stable;
-  for (auto& [src, by_ts] : unstable_) {
-    // Find the largest timestamp <= stable; everything up to its seq is
+  for (auto& [src, s] : sources_) {
+    // Everything up to the seq of the largest timestamp <= stable is
     // reclaimable.
-    auto it = by_ts.upper_bound(stable);
-    if (it == by_ts.begin()) continue;
-    --it;
-    out.emplace_back(src, it->second);
-    by_ts.erase(by_ts.begin(), std::next(it));
+    if (s.unstable.empty() || s.unstable.front().ts > stable) continue;
+    SeqNum up_to = 0;
+    while (!s.unstable.empty() && s.unstable.front().ts <= stable) {
+      up_to = s.unstable.front().seq;
+      s.unstable.pop_front();
+    }
+    out.emplace_back(src, up_to);
     stats_.stability_releases += 1;
     metrics_.stability_releases.add();
   }
@@ -264,31 +293,35 @@ std::vector<std::pair<ProcessorId, SeqNum>> Romp::collect_stable() {
 std::vector<Frame> Romp::drain_up_to_cut(
     const std::map<ProcessorId, SeqNum>& cuts,
     const std::set<ProcessorId>& survivors) {
-  std::vector<Frame> out;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const Frame& m = it->second;
-    const ProcessorId src = m.header.source;
+  // (timestamp, source) -> frame: the delivery order of the remainder.
+  std::vector<std::pair<std::pair<Timestamp, std::uint32_t>, Frame>> taken;
+  for (auto& [src, s] : sources_) {
     auto cut = cuts.find(src);
     const SeqNum limit = cut == cuts.end() ? 0 : cut->second;
-    if (m.header.sequence_number <= limit) {
-      SeqNum& lo = last_ordered_[src];
-      lo = std::max(lo, m.header.sequence_number);
-      mark_consumed(src, m.header.sequence_number);
-      out.push_back(std::move(it->second));
-      auto victim = it++;
-      erase_pending(victim);
-      stats_.ordered_delivered += 1;
-      metrics_.ordered_delivered.add();
-    } else if (!survivors.contains(src)) {
+    const bool survivor = survivors.contains(src);
+    const std::size_t removed = s.pending.remove_if([&](PendingEntry& e) {
+      const SeqNum seq = e.frame.header.sequence_number;
+      if (seq <= limit) {
+        s.last_ordered = std::max(s.last_ordered, seq);
+        mark_consumed(s, seq);
+        taken.emplace_back(std::make_pair(e.frame.header.message_timestamp, src.raw()),
+                           std::move(e.frame));
+        stats_.ordered_delivered += 1;
+        metrics_.ordered_delivered.add();
+        return true;
+      }
       // A non-survivor's message beyond the cut: nobody will deliver it.
-      auto victim = it++;
-      erase_pending(victim);
-    } else {
-      ++it;
-    }
+      // Survivors' beyond-cut messages stay pending for the new epoch.
+      return !survivor;
+    });
+    pending_count_ -= removed;
+    metrics_.pending.add(-static_cast<std::int64_t>(removed));
   }
-  // pending_ is keyed by (timestamp, source), so `out` was extracted in
-  // delivery order already.
+  std::sort(taken.begin(), taken.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Frame> out;
+  out.reserve(taken.size());
+  for (auto& [key, frame] : taken) out.push_back(std::move(frame));
   return out;
 }
 

@@ -21,11 +21,18 @@
 // lower timestamps from all members", §3.2). A message with timestamp t is
 // stable once min over members q of last-ack(q) >= t: every member holds
 // it, nobody can need a retransmission, so RMP may reclaim the buffer (§6).
+//
+// State layout. Everything per source lives in one slot of a dense table
+// (source_table.hpp). Because each source's messages arrive in source order
+// with rising timestamps, the pending set is a FIFO per source and delivery
+// merges the queue heads by (timestamp, source); the unstable set is a FIFO
+// per source that stability pops from the front. min-bound and the stable
+// timestamp are cached and refreshed only when the member at the minimum
+// moves, so an ordering pass with nothing deliverable costs O(1).
 #pragma once
 
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -34,12 +41,9 @@
 #include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
 #include "ftmp/ordering.hpp"
+#include "ftmp/source_table.hpp"
 
 namespace ftcorba::ftmp {
-
-/// Counters for tests and the E7/E8 benches (now shared across ordering
-/// engines; the historical name stays an alias).
-using RompStats = OrderingStats;
 
 /// Causal/total ordering and stability for one processor group — the
 /// paper's Lamport engine behind the OrderingPolicy seam (ordering.hpp).
@@ -84,7 +88,7 @@ class Romp : public OrderingPolicy {
   [[nodiscard]] std::vector<ProcessorId> members() const override;
 
   /// True if `p` is currently a member.
-  [[nodiscard]] bool is_member(ProcessorId p) const override { return members_.contains(p); }
+  [[nodiscard]] bool is_member(ProcessorId p) const override;
 
   // ---- timestamping ----
 
@@ -132,7 +136,7 @@ class Romp : public OrderingPolicy {
   [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now = 0) override;
 
   /// Number of messages awaiting order.
-  [[nodiscard]] std::size_t pending_count() const override { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_count() const override { return pending_count_; }
 
   /// Sequence number of the most recent message from `src` that this
   /// processor has ordered (delivered). Reported in AddProcessor bodies
@@ -177,8 +181,43 @@ class Romp : public OrderingPolicy {
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
 
  protected:
-  void observe_header(const Header& h);
-  void erase_pending(std::map<std::pair<Timestamp, std::uint32_t>, Frame>::iterator it);
+  static constexpr Timestamp kNoMember = ~Timestamp{0};
+
+  struct PendingEntry {
+    Frame frame;
+    TimePoint arrival = 0;  // wall clock at arrival (0 when the caller had none)
+  };
+  struct UnstableEntry {
+    Timestamp ts = 0;
+    SeqNum seq = 0;
+  };
+  /// Everything this engine knows about one source (member or not).
+  struct Source {
+    bool member = false;
+    Timestamp bound = 0;
+    Timestamp last_ack = 0;
+    // Seq of the most recent ordered (delivered) message.
+    SeqNum last_ordered = 0;
+    // Contiguous consumed prefix (ordered deliveries + control messages),
+    // plus the sorted out-of-prefix consumed seqs awaiting the gap.
+    SeqNum consumed = 0;
+    Ring<SeqNum> consumed_ahead;
+    // Contiguously received reliable messages not yet stable, by timestamp
+    // (for stability -> RMP release).
+    Ring<UnstableEntry> unstable;
+    // Totally-ordered frames awaiting delivery (raw bodies, zero-copy
+    // slices of their arrival buffers), by timestamp.
+    Ring<PendingEntry> pending;
+  };
+
+  /// Receipt bookkeeping shared by both engines for a reliable frame from
+  /// RMP: witnesses the timestamps, raises the source's bound and records
+  /// the message as unstable. Returns the source's slot.
+  Source& note_receipt(const Header& h);
+  Source& observe_header(const Header& h);
+  void raise_bound(Source& s, Timestamp t);
+  void mark_consumed(Source& s, SeqNum seq);
+  void refresh_minima();
 
   // Process-global instruments shared by every Romp instance (docs/METRICS.md).
   struct Instruments {
@@ -192,27 +231,17 @@ class Romp : public OrderingPolicy {
   ProcessorId self_;
   Config config_;
   TimestampSource clock_;
-  std::set<ProcessorId> members_;
-  std::unordered_map<ProcessorId, Timestamp> bounds_;
-  std::unordered_map<ProcessorId, Timestamp> last_acks_;
-  // Pending totally-ordered frames (raw bodies, zero-copy slices of their
-  // arrival buffers), keyed by delivery order (ts, src).
-  std::map<std::pair<Timestamp, std::uint32_t>, Frame> pending_;
-  // Arrival wall-clock per pending key (0 when the caller had no time),
-  // feeding the ordering-wait histogram.
-  std::map<std::pair<Timestamp, std::uint32_t>, TimePoint> pending_arrival_;
-  // Per source: timestamps of contiguously received reliable messages that
-  // are not yet stable, mapping to their seq (for stability -> RMP release).
-  std::unordered_map<ProcessorId, std::map<Timestamp, SeqNum>> unstable_;
-  // Per source: seq of the most recent ordered (delivered) message.
-  std::unordered_map<ProcessorId, SeqNum> last_ordered_;
-  // Per source: contiguous consumed prefix (ordered deliveries + control
-  // messages), plus out-of-prefix consumed seqs awaiting the gap.
-  std::unordered_map<ProcessorId, SeqNum> consumed_up_to_;
-  std::unordered_map<ProcessorId, std::set<SeqNum>> consumed_ahead_;
-  void mark_consumed(ProcessorId src, SeqNum seq);
+  SourceTable<Source> sources_;
+  std::size_t member_count_ = 0;
+  // Cached min over members of bound / of last_ack (kNoMember when the
+  // member set is empty).
+  Timestamp min_bound_ = kNoMember;
+  Timestamp min_ack_ = kNoMember;
+  std::size_t pending_count_ = 0;
+  // Lower bound on the timestamps at the heads of the pending FIFOs.
+  Timestamp head_floor_ = kNoMember;
   Timestamp last_stable_ = 0;
-  RompStats stats_;
+  OrderingStats stats_;
   Instruments metrics_;
 };
 

@@ -8,10 +8,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace ftcorba::net {
 
 namespace {
+// Receive buffer size: room for the largest UDP payload.
+constexpr std::size_t kRxBufferSize = 65536;
+
 [[noreturn]] void fail(const std::string& op) {
   throw TransportError(op + ": " + std::strerror(errno));
 }
@@ -192,7 +196,7 @@ std::optional<Datagram> UdpMulticastTransport::receive(Duration timeout) {
     if (!(fds[i].revents & POLLIN)) continue;
     // Pooled receive buffer: the vector's 64 KiB capacity is recycled when
     // the last SharedBytes slice referencing this datagram is released.
-    Bytes buf = pool_acquire(65536);
+    Bytes buf = pool_acquire(kRxBufferSize);
     const ssize_t n = ::recv(fds[i].fd, buf.data(), buf.size(), 0);
     if (n < 0) {
       if (errno == EAGAIN || errno == EINTR) continue;
@@ -229,16 +233,15 @@ std::vector<Datagram> UdpMulticastTransport::receive_many(Duration timeout,
   for (std::size_t i = 0; i < fds.size(); ++i) {
     if (!(fds[i].revents & POLLIN)) continue;
 #ifdef __linux__
-    // Drain the socket with one syscall into pooled 64 KiB buffers; each
-    // becomes a zero-copy Datagram payload.
-    std::vector<Bytes> bufs;
+    // Drain the socket with one syscall into the persistent 64 KiB receive
+    // buffers; each filled one becomes a zero-copy Datagram payload and
+    // only its slot takes a fresh pooled buffer.
+    while (rx_bufs_.size() < max_batch) rx_bufs_.push_back(pool_acquire(kRxBufferSize));
     std::vector<iovec> iovs(max_batch);
     std::vector<mmsghdr> msgs(max_batch);
-    bufs.reserve(max_batch);
     for (std::size_t m = 0; m < max_batch; ++m) {
-      bufs.push_back(pool_acquire(65536));
-      iovs[m].iov_base = bufs[m].data();
-      iovs[m].iov_len = bufs[m].size();
+      iovs[m].iov_base = rx_bufs_[m].data();
+      iovs[m].iov_len = rx_bufs_[m].size();
       msgs[m] = mmsghdr{};
       msgs[m].msg_hdr.msg_iov = &iovs[m];
       msgs[m].msg_hdr.msg_iovlen = 1;
@@ -251,7 +254,7 @@ std::vector<Datagram> UdpMulticastTransport::receive_many(Duration timeout,
       fail("recvmmsg");
     }
     for (int m = 0; m < n; ++m) {
-      Bytes buf = std::move(bufs[std::size_t(m)]);
+      Bytes buf = std::exchange(rx_bufs_[std::size_t(m)], pool_acquire(kRxBufferSize));
       buf.resize(msgs[std::size_t(m)].msg_len);
       metrics_.datagrams_in.add();
       metrics_.bytes_in.add(msgs[std::size_t(m)].msg_len);
@@ -259,7 +262,7 @@ std::vector<Datagram> UdpMulticastTransport::receive_many(Duration timeout,
                              SharedBytes::share_pooled(std::move(buf))});
     }
 #else
-    Bytes buf = pool_acquire(65536);
+    Bytes buf = pool_acquire(kRxBufferSize);
     const ssize_t n = ::recv(fds[i].fd, buf.data(), buf.size(), 0);
     if (n < 0) {
       if (errno == EAGAIN || errno == EINTR) continue;

@@ -77,8 +77,10 @@ class UdpMulticastTransport {
 
   /// Waits up to `timeout` for traffic, then drains up to `max_batch`
   /// datagrams per ready group socket with one recvmmsg(2) syscall each on
-  /// Linux (single recv fallback elsewhere), into pooled buffers. Returns
-  /// an empty vector on timeout.
+  /// Linux (single recv fallback elsewhere), into pooled buffers. The
+  /// receive buffers persist across calls: a poll takes one fresh pooled
+  /// buffer per datagram it returns, not one per batch slot. Returns an
+  /// empty vector on timeout.
   [[nodiscard]] std::vector<Datagram> receive_many(Duration timeout,
                                                    std::size_t max_batch = 16);
 
@@ -91,6 +93,9 @@ class UdpMulticastTransport {
   Options options_;
   int send_fd_ = -1;
   std::unordered_map<std::uint32_t, int> group_fds_;  // McastAddress -> fd
+  // receive_many's buffer array, 64 KiB each; a slot is replaced only
+  // after a datagram landed in it and was handed out.
+  std::vector<Bytes> rx_bufs_;
 
   // Process-global instruments (docs/METRICS.md).
   struct Instruments {

@@ -34,7 +34,7 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
   inline_mode_ = config_.shards == 1 && config_.inline_single_shard;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>(config_);
+    auto sh = std::make_unique<Shard>(config_, !inline_mode_);
     sh->stack = std::make_unique<ftmp::Stack>(self_, domain_, domain_addr_,
                                               stack_config_);
     if (i < kMetricShards) {
@@ -304,7 +304,7 @@ void ShardedRuntime::stop() {
   while (exited_.load(std::memory_order_acquire) < shards_.size()) {
     bool any = false;
     for (auto& sh : shards_) {
-      while (sh->egress.try_pop(d)) {
+      while (sh->egress->try_pop(d)) {
         parting_egress_.push_back(std::move(d));
         any = true;
       }
@@ -316,7 +316,7 @@ void ShardedRuntime::stop() {
   }
   // Final sweep: datagrams pushed between the last drain and loop exit.
   for (auto& sh : shards_) {
-    while (sh->egress.try_pop(d)) parting_egress_.push_back(std::move(d));
+    while (sh->egress->try_pop(d)) parting_egress_.push_back(std::move(d));
   }
   running_.store(false, std::memory_order_release);
 }
@@ -326,7 +326,7 @@ void ShardedRuntime::stop() {
 void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) {
   Shard& sh = *shards_[shard];
   Inbound in{now, std::move(d)};
-  if (sh.ingress.try_push(std::move(in))) return;
+  if (sh.ingress->try_push(std::move(in))) return;
   if (config_.drop_when_full) {
     sh.ring_drops.fetch_add(1, std::memory_order_relaxed);
     sh.m_drops.add();
@@ -336,7 +336,7 @@ void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) 
   // Backpressure: yield until the shard catches up (single-core friendly —
   // the yield is what lets the consumer run at all).
   std::uint64_t spins = 0;
-  while (!sh.ingress.try_push(std::move(in))) {
+  while (!sh.ingress->try_push(std::move(in))) {
     ++spins;
     if (spins % 64 == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(10));
@@ -409,7 +409,7 @@ void ShardedRuntime::drain_egress(std::vector<net::Datagram>& out) {
   net::Datagram d;
   for (auto& sh : shards_) {
     std::size_t n = 0;
-    while (sh->egress.try_pop(d)) {
+    while (sh->egress->try_pop(d)) {
       out.push_back(std::move(d));
       ++n;
     }
@@ -480,8 +480,11 @@ ShardStats ShardedRuntime::shard_stats(std::size_t shard) const {
   s.ingress_stalls = sh.ingress_stalls.load(std::memory_order_relaxed);
   s.egress_stalls = sh.egress_stalls.load(std::memory_order_relaxed);
   s.ticks = sh.ticks.load(std::memory_order_relaxed);
-  s.ingress_depth = sh.ingress.size();
-  s.egress_depth = sh.egress.size();
+  if (sh.ingress && sh.egress) {
+    s.ingress_depth = sh.ingress->size();
+    s.egress_depth = sh.egress->size();
+    s.ring_slots = sh.ingress->capacity() + sh.egress->capacity();
+  }
   return s;
 }
 
@@ -506,7 +509,7 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
     sh.egress_datagrams.fetch_add(packets.size(), std::memory_order_relaxed);
     for (net::Datagram& d : packets) {
       std::uint64_t spins = 0;
-      while (!sh.egress.try_push(std::move(d))) {
+      while (!sh.egress->try_push(std::move(d))) {
         // The front thread is the consumer; it keeps draining during
         // stop(), so this wait always terminates.
         ++spins;
@@ -550,7 +553,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
 
     Inbound in;
     std::size_t burst = 0;
-    while (burst < config_.ingress_burst && sh.ingress.try_pop(in)) {
+    while (burst < config_.ingress_burst && sh.ingress->try_pop(in)) {
       now = std::max(now, in.now);
       sh.stack->on_datagram(in.now, in.datagram);
       in.datagram = net::Datagram{};
@@ -577,7 +580,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
     wheel.advance(now, [&](std::uint64_t) {
       sh.stack->tick(now);
       sh.ticks.fetch_add(1, std::memory_order_relaxed);
-      sh.m_depth.set(std::int64_t(sh.ingress.size()));
+      sh.m_depth.set(std::int64_t(sh.ingress->size()));
       {
         std::lock_guard lk(sh.sub_mu);
         sh.subs = sh.stack->subscriptions();
@@ -591,7 +594,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
       idle = 0;
       continue;
     }
-    if (stop_requested_.load(std::memory_order_acquire) && sh.ingress.empty() &&
+    if (stop_requested_.load(std::memory_order_acquire) && sh.ingress->empty() &&
         !sh.has_cmds.load(std::memory_order_acquire)) {
       // Drained: flush whatever the final tick produced and exit.
       sh.stack->tick(std::max(now, wall_now()));

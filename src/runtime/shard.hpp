@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -126,6 +127,9 @@ struct ShardStats {
   std::uint64_t ticks = 0;            ///< timer-wheel fires (Stack::tick calls)
   std::size_t ingress_depth = 0;      ///< ingress ring occupancy snapshot
   std::size_t egress_depth = 0;       ///< egress ring occupancy snapshot
+  /// Slots allocated across the ingress and egress rings (0 inline: an
+  /// inline runtime builds no rings).
+  std::size_t ring_slots = 0;
 };
 
 /// N stack shards behind one routing front. See the header comment for the
@@ -223,12 +227,17 @@ class ShardedRuntime {
   };
 
   struct Shard {
-    explicit Shard(const RuntimeConfig& cfg)
-        : ingress(cfg.ingress_ring_capacity), egress(cfg.egress_ring_capacity) {}
+    Shard(const RuntimeConfig& cfg, bool threaded) {
+      if (threaded) {
+        ingress.emplace(cfg.ingress_ring_capacity);
+        egress.emplace(cfg.egress_ring_capacity);
+      }
+    }
 
     std::unique_ptr<ftmp::Stack> stack;
-    SpscRing<Inbound> ingress;       // producer: front thread; consumer: shard
-    SpscRing<net::Datagram> egress;  // producer: shard; consumer: front thread
+    // Threaded mode only (an inline shard passes calls straight through).
+    std::optional<SpscRing<Inbound>> ingress;       // producer: front thread; consumer: shard
+    std::optional<SpscRing<net::Datagram>> egress;  // producer: shard; consumer: front thread
     std::thread thread;
 
     // Command queue: application sends and late control ops, run on the

@@ -328,5 +328,103 @@ TEST_F(RmpFixture, RemoveSourceKeepsStoreUntilPurge) {
   EXPECT_TRUE(rmp.take_output().empty());
 }
 
+// ---- retransmission store layout (docs/BUFFERS.md) ----
+
+TEST_F(RmpFixture, StoreBelowTheBaseIsKept) {
+  for (SeqNum s = 10; s <= 20; ++s) rmp.store(kPeer, s, raw_of(regular(kPeer, s)));
+  rmp.release(kPeer, 15);  // the window now starts at 16
+  EXPECT_EQ(rmp.stored_count(), 5u);
+  rmp.store(kPeer, 5, raw_of(regular(kPeer, 5)));    // just below the base
+  rmp.store(kPeer, 14, raw_of(regular(kPeer, 14)));  // released earlier
+  EXPECT_EQ(rmp.stored_count(), 7u);
+  ASSERT_TRUE(rmp.stored(kPeer, 5).has_value());
+  const BytesView five = *rmp.stored(kPeer, 5);
+  EXPECT_EQ(Bytes(five.begin(), five.end()), raw_of(regular(kPeer, 5)));
+  EXPECT_FALSE(rmp.stored(kPeer, 6).has_value());
+  rmp.release(kPeer, 14);
+  EXPECT_EQ(rmp.stored_count(), 5u);
+  EXPECT_FALSE(rmp.stored(kPeer, 14).has_value());
+  EXPECT_TRUE(rmp.stored(kPeer, 16).has_value());
+}
+
+TEST_F(RmpFixture, FarAheadSeqTakesTheSparsePath) {
+  // A hostile or corrupt sequence number far beyond the window must not
+  // allocate slots for the gap: these stores would need exabytes otherwise.
+  constexpr SeqNum kFar = SeqNum{1} << 62;
+  constexpr SeqNum kMax = ~SeqNum{0};
+  (void)feed(regular(kPeer, 1));
+  (void)feed(regular(kPeer, kFar));
+  rmp.store(kPeer, kMax, raw_of(regular(kPeer, kMax)));
+  rmp.store(kSelf, kMax, raw_of(regular(kSelf, kMax)));  // window at the top
+  rmp.store(kSelf, 3, raw_of(regular(kSelf, 3)));        // far below it
+  EXPECT_EQ(rmp.stored_count(), 5u);
+  EXPECT_TRUE(rmp.stored(kPeer, kFar).has_value());
+  EXPECT_TRUE(rmp.stored(kPeer, kMax).has_value());
+  EXPECT_TRUE(rmp.stored(kSelf, 3).has_value());
+  EXPECT_FALSE(rmp.stored(kPeer, kFar - 1).has_value());
+  // Duplicates are still recognised on the sparse path.
+  rmp.store(kPeer, kFar, raw_of(regular(kPeer, kFar)));
+  EXPECT_EQ(rmp.stored_count(), 5u);
+  rmp.release(kPeer, kFar);
+  EXPECT_FALSE(rmp.stored(kPeer, kFar).has_value());
+  EXPECT_TRUE(rmp.stored(kPeer, kMax).has_value());
+  rmp.release(kPeer, kMax);
+  rmp.release(kSelf, kMax);
+  EXPECT_EQ(rmp.stored_count(), 0u);
+  EXPECT_EQ(rmp.stored_bytes(), 0u);
+}
+
+TEST_F(RmpFixture, WindowAbsorbsSparseEntriesItGrowsOver) {
+  const ProcessorId kThird{3};
+  rmp.store(kThird, 1, raw_of(regular(kThird, 1)));
+  rmp.store(kThird, 1000, raw_of(regular(kThird, 1000)));  // sparse: gap > bound
+  for (SeqNum s = 2; s < 1000; ++s) rmp.store(kThird, s, raw_of(regular(kThird, s)));
+  rmp.store(kThird, 1000, raw_of(regular(kThird, 1000)));  // still a duplicate
+  rmp.store(kThird, 1001, raw_of(regular(kThird, 1001)));  // grows over 1000
+  EXPECT_EQ(rmp.stored_count(), 1001u);
+  EXPECT_TRUE(rmp.stored(kThird, 1000).has_value());
+  rmp.release(kThird, 1000);
+  EXPECT_EQ(rmp.stored_count(), 1u);
+  EXPECT_TRUE(rmp.stored(kThird, 1001).has_value());
+}
+
+TEST_F(RmpFixture, ReleaseCrossesHolesAndStopsAtPins) {
+  for (SeqNum s : {1, 2, 4, 6, 9}) rmp.store(kPeer, s, raw_of(regular(kPeer, s)));
+  rmp.pin_store(7, {{kPeer, 3}});
+  rmp.release(kPeer, 8);  // clamped to the pin floor: only 1 and 2 go
+  EXPECT_EQ(rmp.stored_count(), 3u);
+  EXPECT_TRUE(rmp.stored(kPeer, 4).has_value());
+  rmp.unpin_store(7);
+  rmp.release(kPeer, 5);  // across the hole at 3 and up to the one at 5
+  EXPECT_EQ(rmp.stored_count(), 2u);
+  EXPECT_FALSE(rmp.stored(kPeer, 4).has_value());
+  EXPECT_TRUE(rmp.stored(kPeer, 6).has_value());
+  rmp.release(kPeer, 8);
+  EXPECT_EQ(rmp.stored_count(), 1u);
+  EXPECT_TRUE(rmp.stored(kPeer, 9).has_value());
+}
+
+TEST_F(RmpFixture, PurgeStoreBalancesCountAndBytes) {
+  std::size_t self_bytes = 0;
+  for (SeqNum s = 1; s <= 4; ++s) {
+    const Bytes raw = raw_of(regular(kSelf, s));
+    self_bytes += raw.size();
+    rmp.store(kSelf, s, Bytes(raw));
+  }
+  for (SeqNum s = 1; s <= 6; ++s) (void)feed(regular(kPeer, s));
+  rmp.store(kPeer, 1'000'000, raw_of(regular(kPeer, 1'000'000)));  // sparse
+  EXPECT_EQ(rmp.stored_count(), 11u);
+  rmp.purge_store(kPeer);
+  EXPECT_EQ(rmp.stored_count(), 4u);
+  EXPECT_EQ(rmp.stored_bytes(), self_bytes);
+  EXPECT_FALSE(rmp.stored(kPeer, 1'000'000).has_value());
+  // The tracked stream itself is untouched.
+  EXPECT_TRUE(rmp.has_source(kPeer));
+  EXPECT_EQ(rmp.contiguous(kPeer), 6u);
+  rmp.purge_store(kSelf);
+  EXPECT_EQ(rmp.stored_count(), 0u);
+  EXPECT_EQ(rmp.stored_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace ftcorba::ftmp

@@ -2,6 +2,11 @@
 // heartbeat bounds, ack timestamps and stability.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "ftmp/romp.hpp"
 
 namespace ftcorba::ftmp {
@@ -257,6 +262,84 @@ TEST_F(RompFixture, LastOrderedSeqTracksDeliveries) {
   EXPECT_EQ(romp.last_ordered_seq(kP2), 0u);
   (void)romp.collect_deliverable();
   EXPECT_EQ(romp.last_ordered_seq(kP2), 1u);
+}
+
+TEST_F(RompFixture, DuplicateTimestampSourceIsIgnored) {
+  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
+  romp.on_source_ordered(frame_of(regular(kP2, 2, 10)));  // same (ts, src)
+  EXPECT_EQ(romp.pending_count(), 1u);
+  romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
+  romp.on_heartbeat(heartbeat(kP2, 2, 20), 2);
+  romp.on_heartbeat(heartbeat(kP3, 0, 20), 0);
+  const auto out = romp.collect_deliverable();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].header.sequence_number, 1u) << "the first copy is kept";
+}
+
+TEST_F(RompFixture, NonMonotonicTimestampIsSortedIn) {
+  // A source whose timestamps go backwards (a faulty or hostile peer) must
+  // not corrupt the order: its frames are still delivered by timestamp.
+  romp.on_source_ordered(frame_of(regular(kP2, 1, 30)));
+  romp.on_source_ordered(frame_of(regular(kP2, 2, 15)));
+  romp.on_source_ordered(frame_of(regular(kP3, 1, 20)));
+  romp.on_heartbeat(heartbeat(kP1, 0, 40), 0);
+  romp.on_heartbeat(heartbeat(kP3, 1, 40), 1);
+  const auto out = romp.collect_deliverable();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].header.message_timestamp, 15u);
+  EXPECT_EQ(out[1].header.message_timestamp, 20u);
+  EXPECT_EQ(out[2].header.message_timestamp, 30u);
+}
+
+TEST_F(RompFixture, DrainMergesHeadsAndDropsOnlyNonSurvivors) {
+  const ProcessorId kP4{4};
+  romp.add_member(kP4, 0);
+  // Interleaved streams; the cut falls mid-queue for every source.
+  romp.on_source_ordered(frame_of(regular(kP2, 1, 3)));
+  romp.on_source_ordered(frame_of(regular(kP2, 2, 7)));
+  romp.on_source_ordered(frame_of(regular(kP2, 3, 9)));
+  romp.on_source_ordered(frame_of(regular(kP3, 1, 4)));
+  romp.on_source_ordered(frame_of(regular(kP3, 2, 8)));
+  romp.on_source_ordered(frame_of(regular(kP4, 1, 4)));
+  romp.on_source_ordered(frame_of(regular(kP4, 2, 6)));
+  romp.on_source_ordered(frame_of(regular(kP4, 3, 10)));
+  const std::map<ProcessorId, SeqNum> cuts{{kP2, 2}, {kP3, 1}, {kP4, 2}};
+  const std::set<ProcessorId> survivors{kP1, kP2, kP4};
+  const auto out = romp.drain_up_to_cut(cuts, survivors);
+  std::vector<std::pair<Timestamp, ProcessorId>> got;
+  for (const Frame& f : out) got.emplace_back(f.header.message_timestamp, f.header.source);
+  const std::vector<std::pair<Timestamp, ProcessorId>> want{
+      {3, kP2}, {4, kP3}, {4, kP4}, {6, kP4}, {7, kP2}};
+  EXPECT_EQ(got, want);
+  // Beyond the cut: P2 seq 3 and P4 seq 3 stay (survivors); P3 seq 2 is
+  // dropped (P3 did not survive).
+  EXPECT_EQ(romp.pending_count(), 2u);
+  EXPECT_EQ(romp.last_ordered_seq(kP2), 2u);
+  EXPECT_EQ(romp.consumed_up_to(kP4), 2u);
+  romp.remove_member(kP3, /*drop_pending=*/true);
+  romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
+  romp.on_heartbeat(heartbeat(kP2, 3, 20), 3);
+  romp.on_heartbeat(heartbeat(kP4, 3, 20), 3);
+  const auto rest = romp.collect_deliverable();
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].header.source, kP2);
+  EXPECT_EQ(rest[1].header.source, kP4);
+}
+
+TEST_F(RompFixture, RemoveMemberDropPendingBalancesGauge) {
+  const metrics::GaugeHandle gauge = metrics::gauge(
+      "ftmp_romp_pending_messages",
+      "Messages buffered awaiting total-order delivery", "messages", "romp");
+  const std::int64_t before = gauge.value();
+  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
+  romp.on_source_ordered(frame_of(regular(kP3, 1, 11)));
+  romp.on_source_ordered(frame_of(regular(kP3, 2, 12)));
+  EXPECT_EQ(romp.pending_count(), 3u);
+  romp.remove_member(kP3, /*drop_pending=*/true);
+  EXPECT_EQ(romp.pending_count(), 1u);
+  romp.remove_member(kP2, /*drop_pending=*/true);
+  EXPECT_EQ(romp.pending_count(), 0u);
+  EXPECT_EQ(gauge.value(), before);
 }
 
 }  // namespace

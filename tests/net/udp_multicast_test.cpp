@@ -59,6 +59,38 @@ TEST(UdpMulticast, SelfLoopbackWhenEnabled) {
   }
 }
 
+TEST(UdpMulticast, ReceiveManyTakesOneBufferPerDatagram) {
+  UdpMulticastTransport::Options options;
+  options.port = 32007;
+  try {
+    UdpMulticastTransport sender(options);
+    UdpMulticastTransport receiver(options);
+    receiver.join(kAddr);
+    const auto poll_one = [&]() -> std::vector<Datagram> {
+      for (int i = 0; i < 10; ++i) {
+        auto got = receiver.receive_many(100 * kMillisecond, 64);
+        if (!got.empty()) return got;
+      }
+      return {};
+    };
+    // The first poll builds the persistent receive array (64 buffers).
+    sender.send(Datagram{kAddr, bytes_of("warm-up")});
+    if (poll_one().empty()) GTEST_SKIP() << "multicast loopback not functional here";
+
+    const Datagram probe{kAddr, bytes_of("one")};
+    alloc_stats_reset();
+    sender.send(probe);
+    const auto got = poll_one();
+    const AllocStats stats = alloc_stats();
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].payload, bytes_of("one"));
+    EXPECT_LE(stats.fresh_buffers + stats.pool_hits, 1u)
+        << "a poll must replace only the receive slot it handed out";
+  } catch (const TransportError& e) {
+    GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
+  }
+}
+
 TEST(UdpMulticast, ReceiveTimesOutQuietly) {
   UdpMulticastTransport::Options options;
   options.port = 32003;

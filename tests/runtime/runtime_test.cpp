@@ -33,6 +33,19 @@ TEST(ShardedRuntime, DefaultConfigIsInlineSingleShard) {
   EXPECT_FALSE(rt.running()) << "inline mode never spawns threads";
 }
 
+TEST(ShardedRuntime, OnlyThreadedShardsBuildRings) {
+  ShardedRuntime inline_rt(ProcessorId{1}, kDomain, kDomainAddr);
+  ASSERT_TRUE(inline_rt.inline_mode());
+  EXPECT_EQ(inline_rt.shard_stats(0).ring_slots, 0u)
+      << "an inline runtime passes calls straight through: no SPSC rings";
+
+  RuntimeConfig cfg;
+  cfg.inline_single_shard = false;
+  ShardedRuntime threaded(ProcessorId{1}, kDomain, kDomainAddr, patient_config(), cfg);
+  EXPECT_EQ(threaded.shard_stats(0).ring_slots,
+            cfg.ingress_ring_capacity + cfg.egress_ring_capacity);
+}
+
 TEST(ShardedRuntime, HashPlacementIsAStableFunctionOfGroupAndShardCount) {
   RuntimeConfig cfg;
   cfg.shards = 4;
