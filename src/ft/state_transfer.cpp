@@ -1,6 +1,7 @@
 #include "ft/state_transfer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/codec.hpp"
@@ -19,6 +20,27 @@ namespace {
   return h;
 }
 
+// XXH64's primes, round and lane merge.
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+[[nodiscard]] std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
+[[nodiscard]] std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kP2, 31) * kP1;
+}
+
+[[nodiscard]] std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ xxh_round(0, lane)) * kP1 + kP4;
+}
+
 [[nodiscard]] bool contains(const std::vector<ProcessorId>& v, ProcessorId p) {
   return std::find(v.begin(), v.end(), p) != v.end();
 }
@@ -31,6 +53,39 @@ std::uint64_t state_fnv1a64(BytesView data) {
     h ^= b;
     h *= 0x100000001b3ull;
   }
+  return h;
+}
+
+std::uint64_t state_hash64(BytesView data) {
+  const std::uint8_t* p = data.data();
+  const std::size_t len = data.size();
+  const std::uint8_t* const end = p + len;
+  std::uint64_t h;
+  if (len >= 32) {
+    std::uint64_t v[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+    for (; end - p >= 32; p += 32) {
+      for (int i = 0; i < 4; ++i) v[i] = xxh_round(v[i], load_le(p + 8 * i, 8));
+    }
+    h = std::rotl(v[0], 1) + std::rotl(v[1], 7) + std::rotl(v[2], 12) +
+        std::rotl(v[3], 18);
+    for (std::uint64_t lane : v) h = xxh_merge(h, lane);
+  } else {
+    h = kP5;
+  }
+  h += len;
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ xxh_round(0, load_le(p, 8)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ load_le(p, 4) * kP1, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ *p * kP5, 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -134,7 +189,7 @@ void StateTransferManager::apply_one(TimePoint now,
                                      const ftmp::DeliveredMessage& msg) {
   const BytesView payload{msg.giop_message.data(), msg.giop_message.size()};
   digest_ = state_digest_mix(digest_, msg.source.raw(), msg.seq,
-                             state_fnv1a64(payload));
+                             state_hash64(payload));
   applied_hw_[msg.source.raw()] = msg.seq;
   if (apply_) apply_(now, msg);
 }
@@ -286,8 +341,6 @@ void StateTransferManager::take_snapshot(TimePoint now,
                                          const ftmp::MembershipChanged& change) {
   Snapshot snap;
   snap.bytes = state_.snapshot();
-  snap.snapshot_digest =
-      state_fnv1a64(BytesView{snap.bytes.data(), snap.bytes.size()});
   snap.cut_digest = digest_;
   // The cut is OUR applied watermarks at this install — by virtual
   // synchrony every survivor applied the same prefix, so these match the
@@ -351,6 +404,10 @@ void StateTransferManager::on_request(TimePoint now, ProcessorId from,
 
   snap.interested.insert(from.raw());
   if (!is_donor(snap)) return;  // a holder, but not the elected donor
+  if (!snap.snapshot_digest) {
+    snap.snapshot_digest = state_hash64(BytesView{snap.bytes.data(), snap.bytes.size()});
+    stats_.snapshots_hashed += 1;
+  }
 
   // Request-driven self-clocking: serve a window past the joiner's
   // cumulative offset; the next request both acks and reopens the window.
@@ -365,7 +422,7 @@ void StateTransferManager::on_request(TimePoint now, ProcessorId from,
     chunk.view_ts = req.view_ts;
     chunk.chunk_seq = seq;
     chunk.total_chunks = snap.total_chunks;
-    chunk.snapshot_digest = snap.snapshot_digest;
+    chunk.snapshot_digest = *snap.snapshot_digest;
     chunk.cut_digest = snap.cut_digest;
     chunk.cut_seqs = snap.cut_seqs;
     const std::size_t begin = static_cast<std::size_t>(seq) * chunk_bytes;
@@ -402,7 +459,7 @@ void StateTransferManager::on_chunk(TimePoint now, const ftmp::StateChunkBody& c
   }
   const std::uint32_t window =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, config_.state_window_chunks));
-  if (cu.next_chunk >= cu.total_chunks ||
+  if (cu.next_chunk < cu.total_chunks &&
       cu.next_chunk >= cu.last_requested + window) {
     send_request(now);  // ack progress / reopen the donor's window
   }
@@ -413,11 +470,16 @@ void StateTransferManager::maybe_finish(TimePoint now) {
   CatchUp& cu = *catchup_;
   if (cu.total_chunks == 0 || cu.next_chunk < cu.total_chunks) return;
 
+  // Sized up front: grown chunk by chunk, a snapshot just over a power of
+  // two would end in a buffer twice its size, copied while both are held.
+  std::size_t total_bytes = 0;
+  for (const auto& c : cu.chunks) total_bytes += c->size();
   Bytes assembled;
+  assembled.reserve(total_bytes);
   for (const auto& c : cu.chunks) {
     assembled.insert(assembled.end(), c->begin(), c->end());
   }
-  if (state_fnv1a64(BytesView{assembled.data(), assembled.size()}) !=
+  if (state_hash64(BytesView{assembled.data(), assembled.size()}) !=
       cu.snapshot_digest) {
     // Reassembly does not match the donor's hash: distrust everything and
     // pull the snapshot again from offset zero.
@@ -430,6 +492,10 @@ void StateTransferManager::maybe_finish(TimePoint now) {
     send_request(now);
     return;
   }
+  // Ack the full snapshot only once it verifies: a request at total_chunks
+  // releases the snapshot on every holder, so acking a corrupt reassembly
+  // would leave nothing to re-pull from.
+  send_request(now);
 
   state_.restore(BytesView{assembled.data(), assembled.size()});
   digest_ = cu.cut_digest;

@@ -56,8 +56,15 @@ class Checkpointable {
   virtual void restore(BytesView snapshot) = 0;
 };
 
-/// FNV-1a/64 over a byte range (snapshot and payload hashing).
+/// FNV-1a/64 over a byte range. Kept for applications that hash their own
+/// state; the transfer layer itself uses state_hash64.
 [[nodiscard]] std::uint64_t state_fnv1a64(BytesView data);
+
+/// The transfer layer's content hash (payload hashes in the rolling digest,
+/// snapshot digests): XXH64 with seed 0 — 32-byte blocks folded in four
+/// independent 64-bit lanes, then the length and the tail. Loads are
+/// little-endian whatever the host's byte order, so every host agrees.
+[[nodiscard]] std::uint64_t state_hash64(BytesView data);
 
 /// One step of the rolling, order-sensitive state digest: folds an applied
 /// message (source, seq, payload hash) into the chain. Members that applied
@@ -72,6 +79,7 @@ struct StateTransferStats {
   std::uint64_t transfers_resumed = 0;    ///< donor re-elected, chunk offset kept
   std::uint64_t transfers_restarted = 0;  ///< re-anchored at a newer view cut
   std::uint64_t snapshots_taken = 0;
+  std::uint64_t snapshots_hashed = 0;     ///< snapshot digests computed (donor only)
   std::uint64_t chunks_sent = 0;
   std::uint64_t chunks_received = 0;
   std::uint64_t bytes_sent = 0;
@@ -139,7 +147,9 @@ class StateTransferManager {
   /// timestamp of its cut.
   struct Snapshot {
     Bytes bytes;
-    std::uint64_t snapshot_digest = 0;
+    /// Hash of `bytes`, computed the first time this member serves the
+    /// snapshot as donor: a holder that never serves never pays for it.
+    std::optional<std::uint64_t> snapshot_digest;
     std::uint64_t cut_digest = 0;
     std::vector<ftmp::SourceSeq> cut_seqs;
     std::vector<ProcessorId> holders;   ///< survivors at the cut (sorted)

@@ -152,7 +152,7 @@ struct StateChunkBody {
   Timestamp view_ts = 0;
   std::uint32_t chunk_seq = 0;
   std::uint32_t total_chunks = 0;
-  /// FNV-1a/64 over the complete snapshot — verified before installing.
+  /// ft::state_hash64 over the complete snapshot — verified before installing.
   std::uint64_t snapshot_digest = 0;
   /// The donor's rolling delivery digest at the cut; the joiner adopts it
   /// so post-transfer digests are comparable across members.

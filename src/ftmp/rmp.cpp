@@ -1,6 +1,7 @@
 #include "ftmp/rmp.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/log.hpp"
@@ -284,9 +285,13 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
   Stream* stream = streams_.find(src);
   if (stream == nullptr) return;
   std::size_t sent = 0;
-  for (SeqNum seq = body.start_seq; seq <= body.stop_seq && sent < kMaxRetransmitBurst; ++seq) {
+  // Walk only the stored seqs of the range, so a huge or hostile range
+  // costs what the store holds, and stop at stop_seq without wrapping.
+  std::optional<SeqNum> next = stream->store.next_at_or_after(body.start_seq);
+  while (next && *next <= body.stop_seq && sent < kMaxRetransmitBurst) {
+    const SeqNum seq = *next;
+    next = seq == body.stop_seq ? std::nullopt : stream->store.next_at_or_after(seq + 1);
     Stored* m = stream->store.find(seq);
-    if (m == nullptr) continue;
     if (m->retransmitted && now - m->last_retransmit < config_.retransmit_interval) {
       continue;  // someone (maybe us) answered this very recently
     }

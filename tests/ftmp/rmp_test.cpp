@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "ftmp/rmp.hpp"
 
@@ -326,6 +327,60 @@ TEST_F(RmpFixture, RemoveSourceKeepsStoreUntilPurge) {
   rmp.purge_store(kPeer);
   rmp.on_retransmit_request(30 * kMillisecond, RetransmitRequestBody{kPeer, 1, 1});
   EXPECT_TRUE(rmp.take_output().empty());
+}
+
+/// Sequence numbers of the retransmissions in `out`, in output order.
+std::vector<SeqNum> retransmitted_seqs(const std::vector<RmpOut>& out) {
+  std::vector<SeqNum> seqs;
+  for (const RmpOut& o : out) {
+    const auto* rt = std::get_if<RetransmitOut>(&o);
+    if (rt != nullptr) seqs.push_back(decode_message(rt->raw).header.sequence_number);
+  }
+  return seqs;
+}
+
+// The request walk visits stored seqs only: a range up to 2^64 - 1 must
+// neither step through every seq of it nor wrap past the top and loop.
+TEST_F(RmpFixture, RetransmitFullRangeOnEmptyStoreReturns) {
+  rmp.on_retransmit_request(10 * kMillisecond, RetransmitRequestBody{kPeer, 1, ~SeqNum{0}});
+  EXPECT_TRUE(rmp.take_output().empty());
+  EXPECT_EQ(rmp.stats().retransmissions_sent, 0u);
+}
+
+TEST_F(RmpFixture, RetransmitFullRangeServesOnlyStoredInOrder) {
+  constexpr SeqNum kMax = ~SeqNum{0};
+  rmp.store(kPeer, kMax - 1, raw_of(regular(kPeer, kMax - 1)));
+  rmp.store(kPeer, 5, raw_of(regular(kPeer, 5)));
+  rmp.on_retransmit_request(10 * kMillisecond, RetransmitRequestBody{kPeer, 1, kMax});
+  EXPECT_EQ(retransmitted_seqs(rmp.take_output()), (std::vector<SeqNum>{5, kMax - 1}));
+  EXPECT_EQ(rmp.stats().retransmissions_sent, 2u);
+}
+
+TEST_F(RmpFixture, RetransmitStopsAtTopSeqWithoutWrapping) {
+  constexpr SeqNum kMax = ~SeqNum{0};
+  rmp.store(kPeer, kMax, raw_of(regular(kPeer, kMax)));
+  rmp.store(kPeer, 1, raw_of(regular(kPeer, 1)));
+  rmp.on_retransmit_request(10 * kMillisecond, RetransmitRequestBody{kPeer, kMax, kMax});
+  EXPECT_EQ(retransmitted_seqs(rmp.take_output()), (std::vector<SeqNum>{kMax}));
+}
+
+TEST_F(RmpFixture, RetransmitInvertedRangeIsNoOp) {
+  for (SeqNum s = 1; s <= 10; ++s) (void)feed(regular(kPeer, s));
+  rmp.on_retransmit_request(10 * kMillisecond, RetransmitRequestBody{kPeer, 8, 3});
+  EXPECT_TRUE(rmp.take_output().empty());
+}
+
+TEST_F(RmpFixture, RetransmitBurstCapAndRateLimitOverStoredSeqs) {
+  for (SeqNum s = 1; s <= 100; ++s) (void)feed(regular(kPeer, s));
+  // Seqs 1-10 were just answered, so a full-range request skips them and
+  // the burst cap counts only what is actually sent.
+  rmp.on_retransmit_request(10 * kMillisecond, RetransmitRequestBody{kPeer, 1, 10});
+  EXPECT_EQ(rmp.take_output().size(), 10u);
+  rmp.on_retransmit_request(11 * kMillisecond, RetransmitRequestBody{kPeer, 1, ~SeqNum{0}});
+  const std::vector<SeqNum> seqs = retransmitted_seqs(rmp.take_output());
+  ASSERT_EQ(seqs.size(), 64u);
+  EXPECT_EQ(seqs.front(), 11u);
+  EXPECT_EQ(seqs.back(), 74u);
 }
 
 // ---- retransmission store layout (docs/BUFFERS.md) ----

@@ -241,6 +241,13 @@ TEST(StateTransfer, DonorCrashMidTransferResumes) {
   EXPECT_GE(st4.transfers_resumed, 1u) << "donor crash must be survived by resume";
   EXPECT_EQ(st4.transfers_restarted, 0u) << "a holder survived: no re-anchor";
   EXPECT_EQ(st4.snapshot_verify_failures, 0u);
+  // Every survivor captured the cut, but only a serving donor hashes it:
+  // P1 before its crash, P2 once on resume (its byte-identical snapshot
+  // verifies against P1's digest), P3 never.
+  EXPECT_GE(fx.at(ProcessorId{3}).st->stats().snapshots_taken, 1u);
+  EXPECT_EQ(fx.at(ProcessorId{1}).st->stats().snapshots_hashed, 1u);
+  EXPECT_EQ(fx.at(ProcessorId{2}).st->stats().snapshots_hashed, 1u);
+  EXPECT_EQ(fx.at(ProcessorId{3}).st->stats().snapshots_hashed, 0u);
   // Resume, not re-pull: every chunk is paid for exactly once, so the
   // transferred bytes equal the snapshot at the cut (no traffic was sent
   // after the admitting install, so P2's state is still exactly the cut).
@@ -248,6 +255,55 @@ TEST(StateTransfer, DonorCrashMidTransferResumes) {
 
   fx.expect_converged(ids({2, 3, 4}));
   EXPECT_EQ(fx.at(ProcessorId{4}).app->applied(), 200u);
+}
+
+TEST(StateTransfer, CorruptChunkFailsVerificationAndRepulls) {
+  SimHarness h({}, 83);
+  const auto founders = ids({1, 2, 3});
+  for (ProcessorId p : ids({1, 2, 3, 4})) h.add_processor(p, kDomain, kDomainAddr);
+  Config cfg;
+  cfg.state_chunk_bytes = 256;
+  StateTransferFixture fx(h, cfg);
+  for (ProcessorId p : founders) fx.attach(p);
+  for (ProcessorId p : founders) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
+  h.run_for(50 * kMillisecond);
+
+  std::size_t sent = 0;
+  pump_traffic(h, founders, 100, sent);
+
+  // Flip one payload bit of the first StateChunk that reaches P4.
+  fx.attach(ProcessorId{4});
+  ft::StateTransferManager* st4 = fx.at(ProcessorId{4}).st.get();
+  bool corrupted = false;
+  h.set_event_handler(ProcessorId{4}, [st4, &corrupted](TimePoint t, const Event& ev) {
+    const auto* msg = std::get_if<StateMessage>(&ev);
+    if (!corrupted && msg && std::holds_alternative<StateChunkBody>(msg->body)) {
+      StateMessage bad = *msg;
+      std::get<StateChunkBody>(bad.body).payload.at(0) ^= 0x01;
+      corrupted = true;
+      st4->on_event(t, Event{std::move(bad)});
+      return;
+    }
+    st4->on_event(t, ev);
+  });
+  ASSERT_TRUE(fx.join_and_catch_up(ProcessorId{1}, ProcessorId{4}));
+  h.run_for(300 * kMillisecond);
+  ASSERT_TRUE(corrupted);
+
+  // Reassembly fails the hash check once; the joiner then distrusts every
+  // chunk and pulls the whole snapshot again from chunk 0, so each chunk is
+  // received twice.
+  const ft::StateTransferStats& s4 = st4->stats();
+  EXPECT_EQ(s4.snapshot_verify_failures, 1u);
+  EXPECT_EQ(s4.transfers_completed, 1u);
+  const std::size_t snapshot_bytes = fx.at(ProcessorId{2}).app->snapshot().size();
+  ASSERT_GT(snapshot_bytes, 2 * cfg.state_chunk_bytes) << "several chunks";
+  EXPECT_EQ(s4.bytes_received, 2 * snapshot_bytes);
+  EXPECT_EQ(s4.chunks_received,
+            2 * ((snapshot_bytes + cfg.state_chunk_bytes - 1) / cfg.state_chunk_bytes));
+
+  fx.expect_converged(ids({1, 2, 3, 4}));
+  EXPECT_EQ(fx.at(ProcessorId{4}).app->applied(), 100u);
 }
 
 TEST(StateTransfer, AllHoldersLostRestartsAndDegrades) {
