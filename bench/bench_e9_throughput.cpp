@@ -241,7 +241,7 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   rcfg.placement = runtime::RuntimeConfig::Placement::kRoundRobin;
   runtime::ShardedRuntime rt(ProcessorId{1}, kBenchDomain, kBenchDomainAddr,
                              cfg, rcfg);
-  const TimePoint t0 = runtime::wall_now();
+  const TimePoint t0 = wall_now();
   for (int g = 1; g <= kShardGroups; ++g) {
     rt.create_group(t0, ProcessorGroupId{std::uint32_t(g)},
                     McastAddress{std::uint32_t(200 + g)},
@@ -251,13 +251,13 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   rt.start();
 
   alloc_stats_reset();  // measure the flood, not the pre-encoding
-  const TimePoint start = runtime::wall_now();
+  const TimePoint start = wall_now();
   std::uint64_t delivered = 0;
   std::vector<net::Datagram> loopback;
   const auto pump = [&] {
     loopback.clear();
     rt.drain_egress(loopback);
-    const TimePoint now = runtime::wall_now();
+    const TimePoint now = wall_now();
     for (const net::Datagram& d : loopback) rt.ingest(now, d);
     for (const ftmp::Event& ev : rt.take_events()) {
       if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered;
@@ -269,7 +269,7 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   std::size_t fed = 0;
   while (more) {
     more = false;
-    const TimePoint now = runtime::wall_now();
+    const TimePoint now = wall_now();
     for (std::size_t g = 0; g < traffic.size(); ++g) {
       if (cursor[g] < traffic[g].size()) {
         rt.ingest(now, traffic[g][cursor[g]++]);
@@ -280,12 +280,12 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   }
   // Drain: the node's looped-back heartbeats release the tail.
   const TimePoint deadline = start + 120 * kSecond;
-  while (delivered < expected && runtime::wall_now() < deadline) {
+  while (delivered < expected && wall_now() < deadline) {
     pump();
     std::this_thread::yield();
   }
   const double seconds =
-      double(runtime::wall_now() - start) / double(kSecond);
+      double(wall_now() - start) / double(kSecond);
   const AllocStats alloc = alloc_stats();
 
   ShardRow row;

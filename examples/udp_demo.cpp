@@ -1,7 +1,7 @@
 // udp_demo — FTMP over real UDP IP-Multicast sockets (the paper's actual
-// substrate). Three stacks run in one process, each behind its own
-// UdpDriver on the loopback interface, and exchange totally-ordered
-// messages through the kernel.
+// substrate). Three members run in one process, each an inline
+// single-shard runtime behind its own ShardedUdpDriver on the loopback
+// interface, and exchange totally-ordered messages through the kernel.
 //
 // Exits cleanly with a notice if the environment forbids multicast.
 //
@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <memory>
 
-#include "ftmp/udp_driver.hpp"
+#include "runtime/udp_front.hpp"
 
 using namespace ftcorba;
 using namespace ftcorba::ftmp;
+using runtime::ShardedRuntime;
+using runtime::ShardedUdpDriver;
 
 int main() {
   const FtDomainId domain{1};
@@ -22,14 +24,14 @@ int main() {
   const std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2}, ProcessorId{3}};
   const ConnectionId conn{domain, ObjectGroupId{1}, domain, ObjectGroupId{2}};
 
-  std::vector<std::unique_ptr<Stack>> stacks;
-  std::vector<std::unique_ptr<UdpDriver>> drivers;
+  std::vector<std::unique_ptr<ShardedRuntime>> nodes;
+  std::vector<std::unique_ptr<ShardedUdpDriver>> drivers;
   try {
     for (ProcessorId p : members) {
-      stacks.push_back(std::make_unique<Stack>(p, domain, domain_addr));
+      nodes.push_back(std::make_unique<ShardedRuntime>(p, domain, domain_addr));
       net::UdpMulticastTransport::Options options;
       options.port = 30771;
-      drivers.push_back(std::make_unique<UdpDriver>(*stacks.back(), options));
+      drivers.push_back(std::make_unique<ShardedUdpDriver>(*nodes.back(), options));
     }
   } catch (const net::TransportError& e) {
     std::printf("UDP multicast unavailable in this environment (%s); skipping demo\n",
@@ -37,12 +39,12 @@ int main() {
     return 0;
   }
 
-  const TimePoint start = UdpDriver::wall_now();
-  for (auto& s : stacks) s->create_group(start, group, group_addr, members);
+  const TimePoint start = wall_now();
+  for (auto& n : nodes) n->create_group(start, group, group_addr, members);
 
   auto pump_all = [&](Duration d) {
-    const TimePoint until = UdpDriver::wall_now() + d;
-    while (UdpDriver::wall_now() < until) {
+    const TimePoint until = wall_now() + d;
+    while (wall_now() < until) {
       for (auto& drv : drivers) drv->poll_once(200 * kMicrosecond);
     }
   };
@@ -50,17 +52,18 @@ int main() {
   pump_all(50 * kMillisecond);  // warm up: heartbeats establish bounds
 
   for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < stacks.size(); ++i) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
       const std::string text = "udp message " + std::to_string(round) + " from " +
                                to_string(members[i]);
-      stacks[i]->group(group)->send_regular(UdpDriver::wall_now(), conn,
-                                            std::uint64_t(round + 1), bytes_of(text));
+      nodes[i]->stack(0).group(group)->send_regular(wall_now(), conn,
+                                                    std::uint64_t(round + 1),
+                                                    bytes_of(text));
     }
     pump_all(20 * kMillisecond);
   }
   pump_all(300 * kMillisecond);
 
-  std::vector<std::vector<std::string>> transcripts(stacks.size());
+  std::vector<std::vector<std::string>> transcripts(nodes.size());
   for (std::size_t i = 0; i < drivers.size(); ++i) {
     for (const Event& ev : drivers[i]->take_events()) {
       if (const auto* m = std::get_if<DeliveredMessage>(&ev)) {

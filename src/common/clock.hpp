@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 
 #include "common/ids.hpp"
@@ -26,6 +27,14 @@ constexpr Duration kSecond = 1000 * kMillisecond;
 [[nodiscard]] constexpr double to_ms(Duration d) { return static_cast<double>(d) / 1e6; }
 /// Converts nanoseconds to (fractional) microseconds for reporting.
 [[nodiscard]] constexpr double to_us(Duration d) { return static_cast<double>(d) / 1e3; }
+
+/// Monotonic wall time as a TimePoint (steady_clock nanoseconds) — the time
+/// source of every real-network driver and of threaded runtime shards.
+[[nodiscard]] inline TimePoint wall_now() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// A Lamport logical clock (§6). `tick()` stamps an outgoing message;
 /// `witness(t)` advances the clock past any received or sent timestamp, so

@@ -10,7 +10,7 @@
 
 namespace ftcorba::ftmp {
 
-/// Which total-ordering engine a group runs behind the OrderingPolicy seam
+/// Which delivery rule a group runs behind the DeliveryRule seam
 /// (src/ftmp/ordering.hpp, docs/ORDERING.md).
 enum class OrderingMode {
   /// The paper's ROMP: Lamport timestamps totally order messages and

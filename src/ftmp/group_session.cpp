@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "ftmp/romp.hpp"  // is_reliable / is_totally_ordered
 
 namespace ftcorba::ftmp {
 
@@ -17,8 +16,9 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       config_(config),
       outbox_(outbox),
       rmp_(self, config),
-      ordering_(make_ordering(self, config)),
-      pgmp_(self, config, rmp_, *ordering_),
+      stability_(config),
+      rule_(make_ordering(self, config, stability_)),
+      pgmp_(self, config, rmp_, stability_, *rule_),
       flow_(self, group, config) {
   heartbeats_sent_ = metrics::counter(
       "ftmp_rmp_heartbeats_sent_total",
@@ -65,8 +65,8 @@ Header GroupSession::stamp_header(TimePoint now, MessageType type) {
   h.destination_group = group_;
   h.type = type;
   h.sequence_number = is_reliable(type) ? rmp_.assign_seq() : rmp_.last_sent();
-  h.message_timestamp = ordering_->stamp(now);
-  h.ack_timestamp = ordering_->ack_timestamp();
+  h.message_timestamp = stability_.stamp(now);
+  h.ack_timestamp = stability_.ack_timestamp();
   return h;
 }
 
@@ -207,7 +207,7 @@ void GroupSession::begin_rebind(TimePoint now, const Message& connect_msg) {
 }
 
 void GroupSession::progress_flush(TimePoint now) {
-  if (flush_ts_ && ordering_->min_bound() > *flush_ts_) {
+  if (flush_ts_ && stability_.min_bound() > *flush_ts_) {
     // Every member has spoken above the Connect timestamp: flush complete.
     const Timestamp done_ts = *flush_ts_;
     flush_ts_.reset();
@@ -301,7 +301,7 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
   switch (h.type) {
     case MessageType::kHeartbeat:
       rmp_.on_heartbeat(now, h);
-      ordering_->on_heartbeat(h, rmp_.contiguous(h.source));
+      stability_.on_heartbeat(h, rmp_.contiguous(h.source));
       break;
     case MessageType::kRetransmitRequest:
       // A NACK's header carries the sender's current stream position and
@@ -309,7 +309,7 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
       // ROMP layer", §5), so it informs gap detection and bounds exactly
       // like a Heartbeat, in addition to soliciting retransmissions.
       rmp_.on_heartbeat(now, h);
-      ordering_->on_heartbeat(h, rmp_.contiguous(h.source));
+      stability_.on_heartbeat(h, rmp_.contiguous(h.source));
       if (auto body = decode_body_checked(frame)) {
         rmp_.on_retransmit_request(now, std::get<RetransmitRequestBody>(*body));
       }
@@ -335,13 +335,27 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
 }
 
 void GroupSession::route_source_ordered(TimePoint now, const Frame& frame) {
-  ordering_->on_source_ordered(frame, now);
+  // Receipt bookkeeping first (bounds, acks, unstable set), for every
+  // reliable frame whatever the delivery rule; then totally-ordered frames
+  // wait in the rule, and everything else is consumed here and now.
+  const Header& h = frame.header;
+  stability_.note_receipt(h);
+  if (is_totally_ordered(h.type)) {
+    rule_->on_ordered(frame, now);
+    return;
+  }
+  stability_.mark_consumed(h.source, h.sequence_number);
   // Suspect and Membership are "Reliable: yes, Totally Ordered: no"
   // (Fig. 3): they reach PGMP straight from the source-ordered stream.
   // Their bodies are decoded here — membership changes are the cold path.
   // State-transfer messages take the same reliable source-ordered path but
   // surface as StateMessage events for the ft::StateTransferManager.
-  const MessageType type = frame.header.type;
+  // OrderInfo carries LLFT grants to the rule.
+  const MessageType type = h.type;
+  if (type == MessageType::kOrderInfo) {
+    rule_->on_ordered(frame, now);
+    return;
+  }
   if (type == MessageType::kStateRequest || type == MessageType::kStateChunk ||
       type == MessageType::kStateDigest) {
     auto body = decode_body_checked(frame);
@@ -526,13 +540,13 @@ void GroupSession::pump(TimePoint now) {
       apply_pgmp_out(now, std::move(out));
       progress = true;
     }
-    for (Frame& m : ordering_->collect_deliverable(now)) {
+    for (Frame& m : rule_->collect_deliverable(now)) {
       deliver_ordered(now, m);
       progress = true;
     }
     // Engine-originated control traffic (LLFT OrderInfo grants; empty in
     // Lamport mode): stamped and multicast like any protocol message.
-    for (Body& body : ordering_->take_protocol_sends()) {
+    for (Body& body : rule_->take_protocol_sends()) {
       send_message(now, std::move(body), group_addr_);
       progress = true;
     }
@@ -542,7 +556,7 @@ void GroupSession::pump(TimePoint now) {
     }
   }
   if (config_.stability_gc) {
-    for (const auto& [src, seq] : ordering_->collect_stable()) {
+    for (const auto& [src, seq] : stability_.collect_stable()) {
       rmp_.release(src, seq);
       if (src == self_) flow_.on_stable(now, seq);
     }
@@ -571,8 +585,8 @@ void GroupSession::emit_flow_signals(TimePoint now) {
 void GroupSession::check_flow_lag(TimePoint now) {
   if (!flow_.lag_enabled()) return;
   std::vector<std::pair<ProcessorId, Timestamp>> acks;
-  for (ProcessorId q : ordering_->members()) {
-    acks.emplace_back(q, ordering_->last_ack(q));
+  for (ProcessorId q : stability_.members()) {
+    acks.emplace_back(q, stability_.last_ack(q));
   }
   for (ProcessorId laggard : flow_.observe_lag(now, acks)) {
     pgmp_.suspect_slow(now, laggard);

@@ -22,6 +22,7 @@
 #include "ftmp/ordering.hpp"
 #include "ftmp/pgmp.hpp"
 #include "ftmp/rmp.hpp"
+#include "ftmp/stability.hpp"
 #include "net/packet.hpp"
 
 namespace ftcorba::ftmp {
@@ -138,7 +139,8 @@ class GroupSession {
   [[nodiscard]] const MembershipInfo& membership() const { return pgmp_.membership(); }
   [[nodiscard]] bool is_member(ProcessorId p) const;
   [[nodiscard]] const Rmp& rmp() const { return rmp_; }
-  [[nodiscard]] const OrderingPolicy& ordering() const { return *ordering_; }
+  [[nodiscard]] const Stability& stability() const { return stability_; }
+  [[nodiscard]] const DeliveryRule& delivery() const { return *rule_; }
   [[nodiscard]] const Pgmp& pgmp() const { return pgmp_; }
   [[nodiscard]] const FlowController& flow() const { return flow_; }
   [[nodiscard]] const Reassembler& reassembler() const { return reassembler_; }
@@ -208,9 +210,10 @@ class GroupSession {
   Outbox& outbox_;
 
   Rmp rmp_;
-  // Constructed by make_ordering from config_.ordering_mode; must outlive
-  // (and precede) pgmp_, which holds a reference to it.
-  std::unique_ptr<OrderingPolicy> ordering_;
+  Stability stability_;
+  // Built by make_ordering from config_.ordering_mode over stability_. Both
+  // must outlive (and precede) pgmp_, which holds references to them.
+  std::unique_ptr<DeliveryRule> rule_;
   Pgmp pgmp_;
   FlowController flow_;
   FlowListener* flow_listener_ = nullptr;

@@ -29,8 +29,8 @@ constexpr auto kHeldSeq = [](const auto& e) { return e.frame.header.sequence_num
 
 }  // namespace
 
-LlftOrdering::LlftOrdering(ProcessorId self, const Config& config)
-    : Romp(self, config) {
+LlftRule::LlftRule(ProcessorId self, Stability& stability)
+    : self_(self), stability_(stability) {
   llft_metrics_.sessions = metrics::gauge(
       "ftmp_ordering_llft_sessions",
       "Group sessions running the LLFT leader-granted ordering engine",
@@ -66,31 +66,31 @@ LlftOrdering::LlftOrdering(ProcessorId self, const Config& config)
   llft_metrics_.sessions.add(1);
 }
 
-LlftOrdering::~LlftOrdering() { llft_metrics_.sessions.add(-1); }
+LlftRule::~LlftRule() { llft_metrics_.sessions.add(-1); }
 
-SeqNum LlftOrdering::floor_of(ProcessorId src) const {
+SeqNum LlftRule::floor_of(ProcessorId src) const {
   const Stream* st = streams_.find(src);
   return st == nullptr ? 0 : st->floor;
 }
 
-std::size_t LlftOrdering::held_index(const Stream& st, SeqNum seq) {
+std::size_t LlftRule::held_index(const Stream& st, SeqNum seq) {
   const std::size_t i = st.held.lower_bound(seq, kHeldSeq);
   return i < st.held.size() && st.held[i].frame.header.sequence_number == seq
              ? i
              : st.held.size();
 }
 
-bool LlftOrdering::eligible(ProcessorId m) const {
+bool LlftRule::eligible(ProcessorId m) const {
   auto it = joined_epoch_.find(m);
   const Timestamp je = it == joined_epoch_.end() ? 0 : it->second;
   return je != kJoinPending && je < epoch_;
 }
 
-void LlftOrdering::recompute_granter() {
+void LlftRule::recompute_granter() {
   const bool old_have = have_granter_;
   const ProcessorId old = granter_;
   have_granter_ = false;
-  const std::vector<ProcessorId> current = members();
+  const std::vector<ProcessorId> current = stability_.members();
   for (ProcessorId p : current) {
     if (eligible(p)) {
       granter_ = p;
@@ -112,30 +112,21 @@ void LlftOrdering::recompute_granter() {
   }
 }
 
-void LlftOrdering::set_members(const std::vector<ProcessorId>& members) {
-  Romp::set_members(members);
-  // Members handed in wholesale (bootstrap / joiner init) count as
-  // established unless note_joined_epoch overrides below.
-  for (ProcessorId m : members) joined_epoch_.try_emplace(m, 0);
-  recompute_granter();
-}
-
-void LlftOrdering::note_joined_epoch(ProcessorId member, Timestamp epoch) {
+void LlftRule::note_joined_epoch(ProcessorId member, Timestamp epoch) {
   joined_epoch_[member] = epoch;
   recompute_granter();
 }
 
-void LlftOrdering::apply_floors(const std::vector<SourceSeq>& floors) {
+void LlftRule::apply_floors(const std::vector<SourceSeq>& floors) {
   for (const SourceSeq& f : floors) {
     Stream& st = streams_[f.processor];
     if (f.seq <= st.floor) continue;
     st.floor = f.seq;
-    Source& src = sources_[f.processor];
     while (!st.held.empty() && st.held.front().frame.header.sequence_number <= st.floor) {
       // Settled below the floor (delivered by the members before we
       // joined, covered by our state snapshot): consume without
       // delivering, or our resume-point reports would stick here.
-      mark_consumed(src, st.held.front().frame.header.sequence_number);
+      stability_.mark_consumed(f.processor, st.held.front().frame.header.sequence_number);
       st.held.pop_front();
       --held_count_;
       metrics_.pending.add(-1);
@@ -145,8 +136,8 @@ void LlftOrdering::apply_floors(const std::vector<SourceSeq>& floors) {
   }
 }
 
-void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& body,
-                                      TimePoint now) {
+void LlftRule::consume_order_info(ProcessorId from, const OrderInfoBody& body,
+                                  TimePoint now) {
   // The view tag alone authenticates a grant: only the member that actually
   // leads epoch E ever emits bodies tagged E (leadership is a deterministic
   // function of the agreed view), so matching the issuer against our local
@@ -188,7 +179,7 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
   }
 }
 
-void LlftOrdering::grant_ready(ProcessorId src) {
+void LlftRule::grant_ready(ProcessorId src) {
   if (!leading() || suspended_) return;
   Stream& st = streams_[src];
   st.issued_hw = std::max({st.issued_hw, st.floor, st.granted_hw});
@@ -211,14 +202,14 @@ void LlftOrdering::grant_ready(ProcessorId src) {
   }
 }
 
-void LlftOrdering::sweep_ungranted() {
-  for (ProcessorId m : members()) {
+void LlftRule::sweep_ungranted() {
+  for (ProcessorId m : stability_.members()) {
     if (!leading() || suspended_) return;
     grant_ready(m);
   }
 }
 
-void LlftOrdering::set_view(Timestamp view_ts) {
+void LlftRule::set_view(Timestamp view_ts) {
   epoch_ = std::max(epoch_, view_ts);
   suspended_ = false;
   // Entries queued under the old epoch are void; the accession sweep below
@@ -251,12 +242,9 @@ void LlftOrdering::set_view(Timestamp view_ts) {
   }
 }
 
-void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
+void LlftRule::on_ordered(const Frame& frame, TimePoint now) {
   const Header& h = frame.header;
   if (h.type == MessageType::kOrderInfo) {
-    // Clock/bounds/stability bookkeeping + mark_consumed, like any other
-    // source-ordered control message.
-    Romp::on_source_ordered(frame, now);
     OrderInfoBody body;
     try {
       body = std::get<OrderInfoBody>(decode_body(h, frame.body()));
@@ -268,32 +256,23 @@ void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
     consume_order_info(h.source, body, now);
     return;
   }
-  if (!is_totally_ordered(h.type)) {
-    Romp::on_source_ordered(frame, now);
-    return;
-  }
-  // Totally-ordered message: same receipt bookkeeping as the Lamport
-  // engine, but held per-source until its slot is granted instead of
-  // entering the (timestamp, source) pending set.
-  Source& src = note_receipt(h);
+  // Totally-ordered message: held per-source until its slot is granted.
   Stream& st = streams_[h.source];
   if (h.sequence_number <= st.floor) {
     // Settled below an advisory floor (pre-join backlog): never delivered
     // here — the state snapshot covers it.
-    mark_consumed(src, h.sequence_number);
+    stability_.mark_consumed(h.source, h.sequence_number);
     return;
   }
   if (st.held.insert_sorted(HeldEntry{frame, now}, kHeldSeq)) {
     ++held_count_;
     metrics_.pending.add(1);
-    stats_.pending_peak =
-        std::max<std::uint64_t>(stats_.pending_peak, held_count_);
   }
   grant_ready(h.source);
 }
 
-Frame LlftOrdering::deliver_held(ProcessorId src, Stream& st, std::size_t i,
-                                 TimePoint now, TimePoint granted_at) {
+Frame LlftRule::deliver_held(ProcessorId src, Stream& st, std::size_t i,
+                             TimePoint now, TimePoint granted_at) {
   Frame f = std::move(st.held[i].frame);
   const TimePoint arrival = st.held[i].arrival;
   st.held.erase(i);
@@ -302,24 +281,16 @@ Frame LlftOrdering::deliver_held(ProcessorId src, Stream& st, std::size_t i,
   const SeqNum seq = f.header.sequence_number;
   st.floor = std::max(st.floor, seq);
   st.granted_hw = std::max(st.granted_hw, st.floor);
-  Source& s = sources_[src];
-  s.last_ordered = std::max(s.last_ordered, seq);
-  mark_consumed(s, seq);
-  if (now > 0 && arrival > 0) {
-    metrics_.ordering_wait_ms.observe(to_ms(now - arrival));
-  }
+  stability_.mark_consumed(src, seq);
   if (now > 0 && granted_at > 0) {
     llft_metrics_.slot_wait_ms.observe(to_ms(now - granted_at));
   }
-  const Timestamp ts = f.header.message_timestamp;
-  const Timestamp stable = stable_timestamp();
-  metrics_.stability_lag.observe(ts > stable ? double(ts - stable) : 0.0);
-  stats_.ordered_delivered += 1;
-  metrics_.ordered_delivered.add();
+  metrics_.observe(f.header.message_timestamp, arrival, now,
+                   stability_.stable_timestamp());
   return f;
 }
 
-std::vector<Frame> LlftOrdering::collect_deliverable(TimePoint now) {
+std::vector<Frame> LlftRule::collect_deliverable(TimePoint now) {
   std::vector<Frame> out;
   while (!slots_.empty()) {
     const Slot s = slots_.front();
@@ -342,7 +313,7 @@ std::vector<Frame> LlftOrdering::collect_deliverable(TimePoint now) {
   return out;
 }
 
-std::vector<Frame> LlftOrdering::drain_up_to_cut(
+std::vector<Frame> LlftRule::drain_up_to_cut(
     const std::map<ProcessorId, SeqNum>& cuts,
     const std::set<ProcessorId>& survivors) {
   std::vector<Frame> out;
@@ -403,7 +374,7 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
   return out;
 }
 
-std::vector<Body> LlftOrdering::take_protocol_sends() {
+std::vector<Body> LlftRule::take_protocol_sends() {
   std::vector<Body> out;
   if (recovering_) return out;  // nothing may outrun our proposed cut
   if (!leading()) {
@@ -415,7 +386,7 @@ std::vector<Body> LlftOrdering::take_protocol_sends() {
     advisory_pending_ = false;
     OrderInfoBody adv;
     adv.view_ts = epoch_;
-    for (ProcessorId m : members()) {
+    for (ProcessorId m : stability_.members()) {
       const SeqNum f = floor_of(m);
       if (f > 0) adv.floors.push_back({m, f});
     }
@@ -434,7 +405,7 @@ std::vector<Body> LlftOrdering::take_protocol_sends() {
   return out;
 }
 
-void LlftOrdering::set_recovering(bool active) {
+void LlftRule::set_recovering(bool active) {
   if (recovering_ == active) return;
   recovering_ = active;
   if (!active && leading() && !suspended_) {
@@ -444,31 +415,24 @@ void LlftOrdering::set_recovering(bool active) {
   }
 }
 
-void LlftOrdering::remove_member(ProcessorId member, bool drop_pending) {
-  Romp::remove_member(member, drop_pending);
-  joined_epoch_.erase(member);
-  if (Stream* st = streams_.find(member)) {
-    held_count_ -= st->held.size();
-    metrics_.pending.add(-static_cast<std::int64_t>(st->held.size()));
-    streams_.erase(member);
-  }
-  // Slots referencing the member are either delivered (planned removes:
+void LlftRule::reset_source(ProcessorId src, std::optional<SeqNum> floor) {
+  // Slots referencing the source are either delivered (planned removes:
   // FIFO puts them before the change slot) or truncated by the install
-  // drain before this call; purge defensively.
-  std::erase_if(slots_, [&](const Slot& s) { return s.src == member; });
-  // NOTE: granter recompute is deferred to the set_view PGMP issues next.
-}
-
-void LlftOrdering::reset_source(ProcessorId src, SeqNum floor) {
-  Romp::reset_source(src, floor);
+  // drain before a removal; purge defensively.
+  std::erase_if(slots_, [&](const Slot& s) { return s.src == src; });
   Stream& st = streams_[src];
   held_count_ -= st.held.size();
   metrics_.pending.add(-static_cast<std::int64_t>(st.held.size()));
+  if (!floor) {
+    joined_epoch_.erase(src);
+    streams_.erase(src);
+    // NOTE: granter recompute is deferred to the set_view PGMP issues next.
+    return;
+  }
   st.held.clear();
-  st.floor = floor;
-  st.granted_hw = floor;
-  st.issued_hw = floor;
-  std::erase_if(slots_, [&](const Slot& s) { return s.src == src; });
+  st.floor = *floor;
+  st.granted_hw = *floor;
+  st.issued_hw = *floor;
 }
 
 }  // namespace ftcorba::ftmp

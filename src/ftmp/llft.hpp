@@ -1,5 +1,5 @@
-// llft.hpp — LLFT-style leader-stamped total ordering behind the
-// OrderingPolicy seam (docs/ORDERING.md has the full protocol).
+// llft.hpp — LLFT-style leader-stamped total ordering, a DeliveryRule
+// (ordering.hpp; docs/ORDERING.md has the full protocol).
 //
 // Delivery rule. The leader (smallest-id leader-eligible member of the
 // current view) grants a delivery slot for every totally-ordered message —
@@ -27,13 +27,14 @@
 // it.
 //
 // Stability is untouched: headers carry real Lamport timestamps and the
-// ack-timestamp machinery inherited from Romp keeps driving RMP buffer
-// reclaim, which is what lets PGMP's equalization-gated installs cut an
-// LLFT group exactly like a Lamport one.
+// shared Stability keeps driving RMP buffer reclaim, which is what lets
+// PGMP's equalization-gated installs cut an LLFT group exactly like a
+// Lamport one.
 #pragma once
 
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -41,33 +42,27 @@
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/metrics.hpp"
-#include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
-#include "ftmp/romp.hpp"
+#include "ftmp/ordering.hpp"
+#include "ftmp/source_table.hpp"
+#include "ftmp/stability.hpp"
 
 namespace ftcorba::ftmp {
 
-/// Leader-granted slot ordering; reuses Romp's clock, bounds, ack and
-/// stability machinery wholesale and replaces only the delivery rule.
-class LlftOrdering : public Romp {
+/// Leader-granted slot ordering over the group's Stability.
+class LlftRule final : public DeliveryRule {
  public:
-  LlftOrdering(ProcessorId self, const Config& config);
-  ~LlftOrdering() override;
-
-  [[nodiscard]] OrderingMode mode() const override {
-    return OrderingMode::kLlft;
-  }
+  LlftRule(ProcessorId self, Stability& stability);
+  ~LlftRule() override;
 
   // ---- membership epochs ----
-  void set_members(const std::vector<ProcessorId>& members) override;
-  void remove_member(ProcessorId member, bool drop_pending) override;
-  void reset_source(ProcessorId src, SeqNum floor) override;
+  void reset_source(ProcessorId src, std::optional<SeqNum> floor) override;
   void set_view(Timestamp view_ts) override;
   void note_joined_epoch(ProcessorId member, Timestamp epoch) override;
 
   // ---- inputs / delivery ----
-  void on_source_ordered(const Frame& frame, TimePoint now = 0) override;
-  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now = 0) override;
+  void on_ordered(const Frame& frame, TimePoint now) override;
+  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
   [[nodiscard]] std::size_t pending_count() const override { return held_count_; }
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
@@ -144,6 +139,9 @@ class LlftOrdering : public Romp {
     metrics::HistogramHandle slot_wait_ms;
   };
 
+  ProcessorId self_;
+  Stability& stability_;
+
   // ---- epoch / leadership ----
   Timestamp epoch_ = 0;
   ProcessorId granter_{};
@@ -152,7 +150,7 @@ class LlftOrdering : public Romp {
   // is delivered (set_view).
   bool suspended_ = false;
   // PGMP fault-recovery round running: queued grants are withheld so none
-  // outruns this member's proposed cut (see OrderingPolicy::set_recovering).
+  // outruns this member's proposed cut (see DeliveryRule::set_recovering).
   bool recovering_ = false;
   // View timestamp at which each member joined (missing = founding member,
   // kJoinPending = admission in flight). Drives leader eligibility.
@@ -176,6 +174,7 @@ class LlftOrdering : public Romp {
   // accession / view change).
   bool advisory_pending_ = false;
 
+  DeliveryInstruments metrics_;
   LlftInstruments llft_metrics_;
 };
 

@@ -232,6 +232,36 @@ struct BodyEncoder {
 
 }  // namespace
 
+bool is_totally_ordered(MessageType t) {
+  switch (t) {
+    case MessageType::kRegular:
+    case MessageType::kConnect:
+    case MessageType::kAddProcessor:
+    case MessageType::kRemoveProcessor:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool is_reliable(MessageType t) {
+  switch (t) {
+    case MessageType::kRegular:
+    case MessageType::kConnect:
+    case MessageType::kAddProcessor:
+    case MessageType::kRemoveProcessor:
+    case MessageType::kSuspect:
+    case MessageType::kMembership:
+    case MessageType::kStateRequest:
+    case MessageType::kStateChunk:
+    case MessageType::kStateDigest:
+    case MessageType::kOrderInfo:
+      return true;
+    default:
+      return false;
+  }
+}
+
 MessageType type_of(const Body& body) {
   return std::visit(
       [](const auto& b) -> MessageType {

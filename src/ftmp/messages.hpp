@@ -236,6 +236,13 @@ struct Frame {
 /// The MessageType implied by a body alternative.
 [[nodiscard]] MessageType type_of(const Body& body);
 
+/// True for the message types Fig. 3 marks "Totally Ordered".
+[[nodiscard]] bool is_totally_ordered(MessageType t);
+
+/// True for the message types Fig. 3 marks "Reliable" (they consume
+/// sequence numbers and flow through RMP's source-ordered path).
+[[nodiscard]] bool is_reliable(MessageType t);
+
 /// Decodes the body of a message whose header was already decoded (the
 /// deferred half of the zero-copy split). `body_bytes` is everything after
 /// the fixed header; byte order and type come from `header`. Throws

@@ -1,34 +1,36 @@
-// ordering.hpp — the pluggable total-ordering seam (docs/ORDERING.md).
+// ordering.hpp — the delivery-rule seam (docs/ORDERING.md).
 //
-// GroupSession, PGMP and the flow controller order, stabilize and cut
-// message streams exclusively through this interface; which engine sits
-// behind it is a per-stack Config choice (`Config::ordering_mode`):
+// ROMP (§6) has two mechanisms. Stability (stability.hpp) — timestamps,
+// per-member bounds, ack timestamps, buffer reclaim — has one
+// implementation, owned by the GroupSession. The delivery rule decides the
+// single group-wide order in which totally-ordered messages are delivered;
+// it is a per-stack Config choice (`Config::ordering_mode`):
 //
-//   * Romp (romp.hpp) — the paper's Lamport ack-timestamp agreement.
-//     Default, pinned byte-identical to the pre-seam stack by
+//   * LamportRule (romp.hpp) — the paper's rule: deliver once every
+//     member's bound has passed the timestamp, in (timestamp, source)
+//     order. Default, pinned byte-identical by
 //     tests/ftmp/ordering_equivalence_test.cpp.
-//   * LlftOrdering (llft.hpp) — LLFT-style leader-stamped slots: the
+//   * LlftRule (llft.hpp) — LLFT-style leader-stamped slots: the
 //     smallest-id live member grants the delivery order via OrderInfo
 //     messages riding its own reliable stream.
 //
-// Every implementation keeps the full Lamport stability machinery running
-// (timestamps, ack bounds, heartbeat-driven stability, buffer reclaim):
-// the seam swaps the *delivery order* rule, not the header format or the
-// stability protocol — which is what lets PGMP's equalization-gated
-// installs reconcile either mode through the same virtual-synchrony cut.
+// Both rules run over the same Stability, so headers, stability and PGMP's
+// equalization-gated installs are identical in either mode.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
+#include "common/metrics.hpp"
 #include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
+#include "ftmp/stability.hpp"
 
 namespace ftcorba::ftmp {
 
@@ -36,114 +38,95 @@ namespace ftcorba::ftmp {
 /// its ordering point yet, so it is leader-ineligible in every view.
 inline constexpr Timestamp kJoinPending = ~Timestamp{0};
 
-/// Counters for tests and the E7/E8 benches (shared across engines).
-struct OrderingStats {
-  std::uint64_t ordered_delivered = 0;  ///< messages handed up in total order
-  std::uint64_t pending_peak = 0;       ///< max simultaneous pending messages
-  std::uint64_t stability_releases = 0; ///< (source, seq) release notices issued
-};
-
-/// Total order + stability for one processor group, behind a seam.
-///
-/// Contract highlights (docs/ORDERING.md has the full version):
-///  * `on_source_ordered` receives every reliable frame in per-source
-///    order; the engine decides what is orderable vs control traffic.
-///  * `collect_deliverable` returns frames in the group's total order and
-///    stops a batch after any membership-affecting (non-Regular) message,
-///    so the caller can apply it before ordering continues.
-///  * `drain_up_to_cut` finalizes the old epoch at a fault install: every
-///    survivor must return the identical remainder sequence given the
-///    identical cuts (PGMP's equalization gate guarantees the inputs
-///    match).
-///  * `take_protocol_sends` lets an engine emit its own control messages
-///    (LLFT's OrderInfo grants); the session stamps, stores and multicasts
-///    them exactly like any other reliable body.
-///  * `set_view` is called at every membership-change point — planned
-///    add/remove ordering points, fault installs, bootstrap and join —
-///    after the member set has been updated; leader-based engines
-///    recompute leadership and advance their grant epoch here.
-class OrderingPolicy {
+/// The order in which one processor group delivers its totally-ordered
+/// messages. The GroupSession does the receipt bookkeeping
+/// (Stability::note_receipt) for every reliable frame before a rule sees
+/// it; a rule marks what it delivers or settles consumed in the Stability
+/// it was built over.
+class DeliveryRule {
  public:
-  virtual ~OrderingPolicy() = default;
+  virtual ~DeliveryRule() = default;
 
-  /// Which engine this is (LLFT also counts itself in the
-  /// ftmp_ordering_llft_sessions gauge).
-  [[nodiscard]] virtual OrderingMode mode() const = 0;
+  /// A totally-ordered frame (Regular, Connect, AddProcessor,
+  /// RemoveProcessor — Fig. 3) or an OrderInfo, in per-source seq order
+  /// with no gaps (RMP releases only the contiguous prefix). `now` (0 when
+  /// the caller has no clock) feeds the wait histograms.
+  virtual void on_ordered(const Frame& frame, TimePoint now) = 0;
 
-  // ---- membership epochs ----
-  virtual void set_members(const std::vector<ProcessorId>& members) = 0;
-  virtual void add_member(ProcessorId member, Timestamp initial_bound) = 0;
-  virtual void remove_member(ProcessorId member, bool drop_pending) = 0;
-  virtual void reset_source(ProcessorId src, SeqNum floor) = 0;
-  [[nodiscard]] virtual std::vector<ProcessorId> members() const = 0;
-  [[nodiscard]] virtual bool is_member(ProcessorId p) const = 0;
+  /// Pops every frame that is now deliverable, in the group's total order.
+  /// A batch ends after any non-Regular message, so the session applies a
+  /// membership change before ordering continues.
+  [[nodiscard]] virtual std::vector<Frame> collect_deliverable(TimePoint now) = 0;
 
-  /// Membership changed under view timestamp `view_ts` (see class comment).
-  virtual void set_view(Timestamp view_ts) = 0;
+  /// Finalizes the old view at a fault install (PGMP §7.2): returns the
+  /// frames with seq <= cuts[source] still undelivered, and drops a
+  /// non-survivor's frames beyond its cut. Survivors' beyond-cut frames
+  /// stay for the new view. Every survivor calls this with identical
+  /// arguments (PGMP's equalization gate) and must get the identical
+  /// sequence back.
+  [[nodiscard]] virtual std::vector<Frame> drain_up_to_cut(
+      const std::map<ProcessorId, SeqNum>& cuts,
+      const std::set<ProcessorId>& survivors) = 0;
 
-  /// Leader-eligibility bookkeeping for leader-based engines: `member`
-  /// joined the group at view `epoch` (`kJoinPending` while its admission
-  /// is still in flight). A member admitted in the current view defers
-  /// leadership until the next view change — the standing leader's floor
-  /// advisory must reach it before it may ever grant (docs/ORDERING.md).
-  /// Default no-op: Lamport ordering is leaderless.
+  /// Number of frames awaiting delivery.
+  [[nodiscard]] virtual std::size_t pending_count() const = 0;
+
+  /// `src` left the group (`floor` empty: its undelivered frames are
+  /// dropped) or its stream was rebased at `floor` (a re-added member's new
+  /// incarnation, or a joiner's resume point).
+  virtual void reset_source(ProcessorId src, std::optional<SeqNum> floor) = 0;
+
+  /// Membership changed under view timestamp `view_ts`: called at every
+  /// membership-change point (planned add/remove ordering points, fault
+  /// installs, bootstrap and join) after the member set was updated, and
+  /// also for a duplicate Add/Remove that leaves the set unchanged.
+  /// Leader-based rules recompute leadership and advance their grant epoch
+  /// here. Lamport ordering is leaderless: no-op.
+  virtual void set_view(Timestamp view_ts) { (void)view_ts; }
+
+  /// `member` joined the group at view `epoch` (`kJoinPending` while its
+  /// admission is still in flight). A member admitted in the current view
+  /// defers leadership until the next view change — the standing leader's
+  /// floor advisory must reach it before it may ever grant
+  /// (docs/ORDERING.md). No-op for leaderless rules.
   virtual void note_joined_epoch(ProcessorId member, Timestamp epoch) {
     (void)member;
     (void)epoch;
   }
 
-  // ---- timestamping ----
-  [[nodiscard]] virtual Timestamp stamp(TimePoint now) = 0;
-  [[nodiscard]] virtual Timestamp latest() const = 0;
-  virtual void witness(Timestamp t) = 0;
-  [[nodiscard]] virtual Timestamp ack_timestamp() const = 0;
-  [[nodiscard]] virtual Timestamp bound(ProcessorId q) const = 0;
-  [[nodiscard]] virtual Timestamp min_bound() const = 0;
-
-  // ---- inputs ----
-  virtual void on_source_ordered(const Frame& frame, TimePoint now = 0) = 0;
-  virtual void on_heartbeat(const Header& header, SeqNum contiguous_seq) = 0;
-
-  // ---- ordered delivery ----
-  [[nodiscard]] virtual std::vector<Frame> collect_deliverable(TimePoint now = 0) = 0;
-  [[nodiscard]] virtual std::size_t pending_count() const = 0;
-  [[nodiscard]] virtual SeqNum last_ordered_seq(ProcessorId src) const = 0;
-  [[nodiscard]] virtual SeqNum consumed_up_to(ProcessorId src) const = 0;
-
-  // ---- stability / buffer management ----
-  [[nodiscard]] virtual Timestamp stable_timestamp() const = 0;
-  [[nodiscard]] virtual Timestamp last_ack(ProcessorId q) const = 0;
-  [[nodiscard]] virtual std::vector<std::pair<ProcessorId, SeqNum>>
-  collect_stable() = 0;
-
-  // ---- fault-recovery epoch cut (PGMP §7.2) ----
-  [[nodiscard]] virtual std::vector<Frame> drain_up_to_cut(
-      const std::map<ProcessorId, SeqNum>& cuts,
-      const std::set<ProcessorId>& survivors) = 0;
-
-  /// Layer counters.
-  [[nodiscard]] virtual const OrderingStats& stats() const = 0;
-
-  // ---- engine-originated control traffic ----
-
-  /// Bodies the engine wants multicast to the group now (stamped, stored
-  /// and sent by the session like any reliable message). Default: none —
-  /// the Lamport engine never originates messages, which keeps default
-  /// mode byte-identical.
-  [[nodiscard]] virtual std::vector<Body> take_protocol_sends() { return {}; }
-
   /// PGMP signal: a fault-recovery round is running (`true` from the first
   /// local Membership proposal until the round aborts or installs). A
-  /// leader-based engine must stop issuing grants past its proposed cut —
+  /// leader-based rule must stop issuing grants past its proposed cut —
   /// the equalization gate only synchronizes streams up to the cut, so
   /// later grants would reach survivors on opposite sides of their
-  /// installs and fork the slot queues. Default no-op (Lamport ordering
-  /// already stops on its own: a crashed member's bound stalls delivery).
+  /// installs and fork the slot queues. No-op for Lamport ordering, which
+  /// stops on its own: a crashed member's bound stalls delivery.
   virtual void set_recovering(bool active) { (void)active; }
+
+  /// Bodies the rule wants multicast to the group now (stamped, stored and
+  /// sent by the session like any reliable message). The Lamport rule
+  /// never originates messages, which keeps default mode byte-identical.
+  [[nodiscard]] virtual std::vector<Body> take_protocol_sends() { return {}; }
 };
 
-/// Builds the engine selected by `config.ordering_mode`.
-[[nodiscard]] std::unique_ptr<OrderingPolicy> make_ordering(
-    ProcessorId self, const Config& config);
+/// Process-global instruments every rule reports to (docs/METRICS.md).
+/// The names keep their `romp` prefix from when Lamport was the only rule.
+struct DeliveryInstruments {
+  DeliveryInstruments();
+
+  /// Counts one ordered delivery of a frame stamped `ts`: the wait since
+  /// `arrival` (when both times are known) and how far `ts` runs ahead of
+  /// the `stable` timestamp.
+  void observe(Timestamp ts, TimePoint arrival, TimePoint now, Timestamp stable);
+
+  metrics::CounterHandle ordered_delivered;
+  metrics::GaugeHandle pending;
+  metrics::HistogramHandle ordering_wait_ms;
+  metrics::HistogramHandle stability_lag;
+};
+
+/// Builds the rule selected by `config.ordering_mode` over `stability`.
+[[nodiscard]] std::unique_ptr<DeliveryRule> make_ordering(
+    ProcessorId self, const Config& config, Stability& stability);
 
 }  // namespace ftcorba::ftmp

@@ -51,6 +51,7 @@
 #include "ftmp/messages.hpp"
 #include "ftmp/ordering.hpp"
 #include "ftmp/rmp.hpp"
+#include "ftmp/stability.hpp"
 
 namespace ftcorba::ftmp {
 
@@ -93,11 +94,13 @@ struct PgmpStats {
 /// Membership protocol for one processor group on one processor.
 class Pgmp {
  public:
-  /// `rmp` and `romp` are the sibling layers of the same group session;
-  /// PGMP queries stream state from RMP and performs epoch surgery on both.
-  /// The ordering engine is reached only through the OrderingPolicy seam,
-  /// so either mode (Lamport or LLFT) reconciles through the same installs.
-  Pgmp(ProcessorId self, const Config& config, Rmp& rmp, OrderingPolicy& romp);
+  /// `rmp`, `stability` and `rule` are the sibling layers of the same
+  /// group session; PGMP queries stream state from RMP and performs epoch
+  /// surgery on all three. The delivery rule is reached only through the
+  /// DeliveryRule seam, so either mode (Lamport or LLFT) reconciles through
+  /// the same installs.
+  Pgmp(ProcessorId self, const Config& config, Rmp& rmp, Stability& stability,
+       DeliveryRule& rule);
 
   // ---- lifecycle ----
 
@@ -228,7 +231,8 @@ class Pgmp {
   ProcessorId self_;
   Config config_;
   Rmp& rmp_;
-  OrderingPolicy& romp_;
+  Stability& stability_;
+  DeliveryRule& rule_;
 
   bool active_ = false;
   MembershipInfo membership_;

@@ -51,14 +51,6 @@
 
 namespace ftcorba::runtime {
 
-/// Monotonic wall time as a TimePoint (nanoseconds) — the threaded mode's
-/// time source, same epoch as ftmp::UdpDriver::wall_now.
-[[nodiscard]] inline TimePoint wall_now() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// SplitMix64 finalizer — the demux hash. Deterministic across runs and
 /// platforms, so a group's owning shard is a pure function of its id and
 /// the shard count.

@@ -5,8 +5,8 @@
 // buffers, routes each datagram to its owning shard (header-only decode,
 // zero-copy SPSC handoff), collects every shard's egress and transmits it
 // with sendmmsg bursts, and keeps the transport's group joins in sync with
-// the union of shard subscriptions. The same loop works for the inline
-// single-shard runtime, where it degenerates into UdpDriver's poll loop.
+// the union of shard subscriptions. The same loop drives the inline
+// single-shard runtime, which is how one Stack runs over real UDP.
 #pragma once
 
 #include <vector>

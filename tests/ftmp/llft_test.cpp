@@ -1,11 +1,17 @@
-// LLFT ordering-engine tests (llft.hpp, docs/ORDERING.md): leader grant
-// stamping, follower gap recovery through RMP NACKs, and leader-failover
+// LLFT delivery-rule tests (llft.hpp, docs/ORDERING.md): leader grant
+// stamping, follower gap recovery through RMP NACKs, leader-failover
 // reconciliation through the PGMP install path (prefix agreement across
-// survivors, new-leader accession, post-failover progress).
+// survivors, new-leader accession, post-failover progress), and the fault
+// cut of one LlftRule over a bare Stability.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "ftmp/llft.hpp"
 #include "ftmp/sim_harness.hpp"
+#include "routing.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -31,10 +37,11 @@ Config llft_config() {
   return cfg;
 }
 
-const LlftOrdering& engine(SimHarness& h, ProcessorId p) {
+// Throws std::bad_cast unless the session runs the LLFT rule.
+const LlftRule& engine(SimHarness& h, ProcessorId p) {
   auto* g = h.stack(p).group(kGroup);
   EXPECT_NE(g, nullptr) << "no session for " << to_string(p);
-  return dynamic_cast<const LlftOrdering&>(g->ordering());
+  return dynamic_cast<const LlftRule&>(g->delivery());
 }
 
 void expect_same_order(SimHarness& h, const std::vector<ProcessorId>& members,
@@ -65,7 +72,6 @@ TEST(Llft, LeaderStampsAndAllMembersDeliverInGrantOrder) {
   h.run_for(50 * kMillisecond);
 
   for (ProcessorId p : all) {
-    EXPECT_EQ(engine(h, p).mode(), OrderingMode::kLlft);
     EXPECT_EQ(engine(h, p).leader(), ProcessorId{1}) << "at " << to_string(p);
   }
   EXPECT_TRUE(engine(h, ProcessorId{1}).leading());
@@ -83,9 +89,10 @@ TEST(Llft, LeaderStampsAndAllMembersDeliverInGrantOrder) {
   h.run_for(500 * kMillisecond);
   expect_same_order(h, all, std::size_t(req), "grant order");
 
-  // Stability kept running: the engines reclaimed buffers (non-zero acks).
+  // Stability kept running: the sessions reclaimed buffers (non-zero acks).
   for (ProcessorId p : all) {
-    EXPECT_GT(engine(h, p).stable_timestamp(), 0u) << "at " << to_string(p);
+    EXPECT_GT(h.stack(p).group(kGroup)->stability().stable_timestamp(), 0u)
+        << "at " << to_string(p);
   }
 }
 
@@ -386,9 +393,9 @@ TEST(Llft, DuplicateRemoveDoesNotStallGranting) {
 // is still admitted and drained by the install that reaches it.
 TEST(Llft, FutureViewGrantBufferIsBounded) {
   constexpr std::size_t kCap = 256;  // kMaxFutureBodies in llft.cpp
-  Config cfg = llft_config();
-  LlftOrdering eng(ProcessorId{2}, cfg);
-  eng.set_members(ids({1, 2}));
+  Stability stability{llft_config()};
+  LlftRule eng(ProcessorId{2}, stability);
+  stability.set_members(ids({1, 2}));
 
   auto order_info = [](SeqNum seq, Timestamp view_ts) {
     Message m;
@@ -405,17 +412,131 @@ TEST(Llft, FutureViewGrantBufferIsBounded) {
 
   SeqNum seq = 0;
   for (std::size_t i = 0; i < kCap + 50; ++i) {
-    eng.on_source_ordered(order_info(++seq, 1000 + Timestamp{i}));
+    route(stability, eng, order_info(++seq, 1000 + Timestamp{i}));
   }
   EXPECT_EQ(eng.future_buffered(), kCap) << "cap must hold under flood";
 
   // A low future tag (the one a real racing leader would use) evicts a
   // high one instead of being refused.
-  eng.on_source_ordered(order_info(++seq, 5));
+  route(stability, eng, order_info(++seq, 5));
   EXPECT_EQ(eng.future_buffered(), kCap);
   eng.set_view(5);
   EXPECT_EQ(eng.future_buffered(), kCap - 1)
       << "install must drain exactly the admitted low-tagged body";
+}
+
+// ---- the fault cut over a bare Stability (no session, no network) ----
+
+Frame regular_frame(std::uint32_t src, SeqNum seq, Timestamp ts) {
+  Message m;
+  m.header.source = ProcessorId{src};
+  m.header.sequence_number = seq;
+  m.header.message_timestamp = ts;
+  m.header.type = MessageType::kRegular;
+  m.body = RegularBody{};
+  return Frame{m.header, encode_message(m)};
+}
+
+Frame grant_frame(SeqNum seq, Timestamp ts,
+                  std::initializer_list<std::pair<std::uint32_t, SeqNum>> grants) {
+  Message m;
+  m.header.type = MessageType::kOrderInfo;
+  m.header.source = ProcessorId{1};
+  m.header.sequence_number = seq;
+  m.header.message_timestamp = ts;
+  OrderInfoBody b;  // view 0: the bootstrap view
+  for (const auto& [src, s] : grants) b.grants.push_back({ProcessorId{src}, s});
+  m.body = std::move(b);
+  return Frame{m.header, encode_message(m)};
+}
+
+// Streams of a three-member group led by P1: P1 sends two Regulars, a
+// grant body and a third Regular; P2 and P3 send three Regulars each. The
+// grants cover four frames, in an order that is not timestamp order; the
+// last one is P3's seq 2, beyond P3's cut below.
+std::vector<std::vector<Frame>> cut_scenario_streams() {
+  return {
+      {regular_frame(1, 1, 1), regular_frame(1, 2, 4),
+       grant_frame(3, 10, {{2, 1}, {1, 1}, {3, 1}, {3, 2}}),
+       regular_frame(1, 4, 11)},
+      {regular_frame(2, 1, 2), regular_frame(2, 2, 5), regular_frame(2, 3, 8)},
+      {regular_frame(3, 1, 3), regular_frame(3, 2, 6), regular_frame(3, 3, 7)},
+  };
+}
+
+struct CutResult {
+  std::vector<std::pair<std::uint32_t, SeqNum>> remainder;
+  std::size_t pending_after = 0;
+  std::int64_t gauge_delta = 0;
+  std::uint64_t truncated = 0;
+};
+
+// Feeds the scenario's streams to a follower in the given interleaving
+// (each entry names the stream that sends its next frame), then drains the
+// cut that convicts P3: P1 up to seq 4, P2 up to seq 2, P3 up to seq 1.
+CutResult run_cut(ProcessorId self, const std::vector<int>& interleaving) {
+  const metrics::GaugeHandle pending = metrics::gauge(
+      "ftmp_romp_pending_messages",
+      "Messages buffered awaiting total-order delivery", "messages", "romp");
+  const metrics::CounterHandle truncations = metrics::counter(
+      "ftmp_ordering_truncations_total",
+      "Slots truncated at fault installs (referenced message beyond the cut)",
+      "slots", "ordering");
+  const std::int64_t pending_before = pending.value();
+  const std::uint64_t truncated_before = truncations.value();
+
+  Stability stability{llft_config()};
+  LlftRule rule(self, stability);
+  stability.set_members(ids({1, 2, 3}));
+  rule.set_view(0);
+  auto streams = cut_scenario_streams();
+  std::vector<std::size_t> next(streams.size(), 0);
+  for (int s : interleaving) route(stability, rule, streams[s][next[s]++]);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    EXPECT_EQ(next[s], streams[s].size()) << "interleaving must send every frame";
+  }
+  EXPECT_EQ(rule.pending_count(), 9u);
+
+  const std::map<ProcessorId, SeqNum> cuts{
+      {ProcessorId{1}, 4}, {ProcessorId{2}, 2}, {ProcessorId{3}, 1}};
+  CutResult r;
+  for (const Frame& f : rule.drain_up_to_cut(cuts, {ProcessorId{1}, ProcessorId{2}})) {
+    r.remainder.emplace_back(f.header.source.raw(), f.header.sequence_number);
+  }
+  r.pending_after = rule.pending_count();
+  r.gauge_delta = pending.value() - pending_before;
+  r.truncated = truncations.value() - truncated_before;
+  return r;
+}
+
+// Two survivors that received the same frames and grants in different
+// arrival orders drain the identical remainder: the granted slots at or
+// below the cut in slot order, then the ungranted held frames at or below
+// the cut in (timestamp, source) order.
+TEST(LlftRule, FaultCutRemainderIsIdenticalAcrossArrivalOrders) {
+  const CutResult a = run_cut(ProcessorId{2}, {0, 0, 0, 0, 1, 1, 1, 2, 2, 2});
+  const CutResult b = run_cut(ProcessorId{3}, {2, 1, 2, 1, 2, 1, 0, 0, 0, 0});
+  const std::vector<std::pair<std::uint32_t, SeqNum>> want{
+      {2, 1}, {1, 1}, {3, 1},   // granted, in slot order
+      {1, 2}, {2, 2}, {1, 4}};  // ungranted: (4, P1), (5, P2), (11, P1)
+  EXPECT_EQ(a.remainder, want);
+  EXPECT_EQ(b.remainder, want);
+}
+
+// The slot beyond the crashed source's cut is truncated and counted; the
+// crashed source's held frames beyond its cut are dropped while a
+// survivor's stay for the new view, and the pending gauge stays balanced.
+TEST(LlftRule, FaultCutTruncatesAndDropsBeyondTheCut) {
+  for (const std::vector<int>& order :
+       {std::vector<int>{0, 0, 0, 0, 1, 1, 1, 2, 2, 2},
+        std::vector<int>{2, 1, 2, 1, 2, 1, 0, 0, 0, 0}}) {
+    const CutResult r = run_cut(ProcessorId{2}, order);
+    EXPECT_EQ(r.truncated, FTCORBA_METRICS_ENABLED ? 1u : 0u)
+        << "the grant of P3 seq 2 lies beyond P3's cut";
+    EXPECT_EQ(r.pending_after, 1u) << "only survivor P2's seq 3 stays held";
+    EXPECT_EQ(r.gauge_delta, FTCORBA_METRICS_ENABLED ? 1 : 0)
+        << "dropped and delivered frames leave the pending gauge";
+  }
 }
 
 }  // namespace

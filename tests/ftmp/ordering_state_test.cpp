@@ -1,5 +1,6 @@
 // Differential tests for the flat per-source ordering state: seeded random
-// operation streams drive Romp, Rmp's retransmission store and Rmp's
+// operation streams drive Stability with the Lamport rule, Rmp's
+// retransmission store and Rmp's
 // receive path (out-of-order buffer, NACK runs) next to small reference
 // models written with the node-based containers (std::map / std::set) that
 // define the semantics, and every output and query must match after every
@@ -17,6 +18,7 @@
 
 #include "ftmp/rmp.hpp"
 #include "ftmp/romp.hpp"
+#include "routing.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -29,7 +31,6 @@ struct RefRomp {
   std::map<ProcessorId, Timestamp> last_acks;
   std::map<std::pair<Timestamp, std::uint32_t>, Header> pending;
   std::map<ProcessorId, std::map<Timestamp, SeqNum>> unstable;
-  std::map<ProcessorId, SeqNum> last_ordered;
   std::map<ProcessorId, SeqNum> consumed;
   std::map<ProcessorId, std::set<SeqNum>> ahead;
   Timestamp last_stable = 0;
@@ -43,19 +44,16 @@ struct RefRomp {
     members.insert(p);
     bounds[p] = std::max(bounds[p], b);
   }
-  void remove_member(ProcessorId p, bool drop) {
+  void remove_member(ProcessorId p) {
     members.erase(p);
     bounds.erase(p);
     last_acks.erase(p);
     unstable.erase(p);
-    if (drop) {
-      std::erase_if(pending, [&](const auto& kv) { return kv.second.source == p; });
-    }
+    std::erase_if(pending, [&](const auto& kv) { return kv.second.source == p; });
   }
   void reset_source(ProcessorId p, SeqNum floor) {
     consumed[p] = floor;
     ahead.erase(p);
-    last_ordered[p] = floor;
     unstable.erase(p);
   }
   void mark_consumed(ProcessorId p, SeqNum seq) {
@@ -110,7 +108,6 @@ struct RefRomp {
     while (!pending.empty() && pending.begin()->first.first <= mb) {
       const Header h = pending.begin()->second;
       pending.erase(pending.begin());
-      last_ordered[h.source] = std::max(last_ordered[h.source], h.sequence_number);
       mark_consumed(h.source, h.sequence_number);
       out.push_back(h);
       if (h.type != MessageType::kRegular) break;
@@ -139,7 +136,6 @@ struct RefRomp {
       auto c = cuts.find(h.source);
       const SeqNum limit = c == cuts.end() ? 0 : c->second;
       if (h.sequence_number <= limit) {
-        last_ordered[h.source] = std::max(last_ordered[h.source], h.sequence_number);
         mark_consumed(h.source, h.sequence_number);
         out.push_back(h);
         it = pending.erase(it);
@@ -174,9 +170,10 @@ void run_romp_differential(std::uint64_t seed) {
   auto pick = [&](std::uint64_t n) { return rng() % n; };
   constexpr std::uint32_t kSources = 5;
   Config config;
-  Romp romp(ProcessorId{1}, config);
+  Stability stability(config);
+  LamportRule rule(stability);
   RefRomp ref;
-  romp.set_members({ProcessorId{1}, ProcessorId{2}, ProcessorId{3}, ProcessorId{4}});
+  stability.set_members({ProcessorId{1}, ProcessorId{2}, ProcessorId{3}, ProcessorId{4}});
   for (std::uint32_t p = 1; p <= 4; ++p) ref.members.insert(ProcessorId{p});
 
   std::vector<SeqNum> next_seq(kSources + 1, 1);
@@ -207,7 +204,7 @@ void run_romp_differential(std::uint64_t seed) {
                : t < 93 ? MessageType::kSuspect
                : t < 97 ? MessageType::kConnect
                         : MessageType::kAddProcessor;
-      romp.on_source_ordered(Frame{h, SharedBytes{}});
+      route(stability, rule, Frame{h, SharedBytes{}});
       ref.on_source_ordered(h);
     } else if (op < 65) {
       Header h;
@@ -219,25 +216,26 @@ void run_romp_differential(std::uint64_t seed) {
       last_ts[src.raw()] = std::max(last_ts[src.raw()], h.message_timestamp);
       top = std::max(top, h.message_timestamp);
       h.ack_timestamp = pick(top + 1);
-      romp.on_heartbeat(h, contiguous);
+      stability.on_heartbeat(h, contiguous);
       ref.on_heartbeat(h, contiguous);
     } else if (op < 82) {
-      ASSERT_EQ(keys(headers(romp.collect_deliverable())), keys(ref.collect_deliverable()));
+      ASSERT_EQ(keys(headers(rule.collect_deliverable(0))), keys(ref.collect_deliverable()));
     } else if (op < 92) {
-      auto got = romp.collect_stable();
+      auto got = stability.collect_stable();
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, ref.collect_stable());
     } else if (op < 95) {
-      const bool drop = pick(2) == 0;
-      romp.remove_member(src, drop);
-      ref.remove_member(src, drop);
+      stability.remove_member(src);
+      rule.reset_source(src, std::nullopt);
+      ref.remove_member(src);
     } else if (op < 98) {
       const Timestamp b = pick(top + 1);
-      romp.add_member(src, b);
+      stability.add_member(src, b);
       ref.add_member(src, b);
     } else if (op < 99) {
       const SeqNum floor = pick(next_seq[src.raw()]);
-      romp.reset_source(src, floor);
+      stability.reset_source(src, floor);
+      rule.reset_source(src, floor);
       ref.reset_source(src, floor);
     } else {
       std::map<ProcessorId, SeqNum> cuts;
@@ -246,25 +244,24 @@ void run_romp_differential(std::uint64_t seed) {
         if (pick(3) != 0) cuts[ProcessorId{p}] = pick(next_seq[p] + 1);
         if (pick(4) != 0) survivors.insert(ProcessorId{p});
       }
-      ASSERT_EQ(keys(headers(romp.drain_up_to_cut(cuts, survivors))),
+      ASSERT_EQ(keys(headers(rule.drain_up_to_cut(cuts, survivors))),
                 keys(ref.drain(cuts, survivors)));
     }
 
-    ASSERT_EQ(romp.pending_count(), ref.pending.size());
-    ASSERT_EQ(romp.min_bound(), ref.min_bound());
-    ASSERT_EQ(romp.stable_timestamp(), ref.stable());
-    ASSERT_EQ(romp.ack_timestamp(), std::min(romp.latest(), ref.members.empty()
+    ASSERT_EQ(rule.pending_count(), ref.pending.size());
+    ASSERT_EQ(stability.min_bound(), ref.min_bound());
+    ASSERT_EQ(stability.stable_timestamp(), ref.stable());
+    ASSERT_EQ(stability.ack_timestamp(), std::min(stability.latest(), ref.members.empty()
                                                                ? ~Timestamp{0}
                                                                : ref.min_bound()));
-    ASSERT_EQ(romp.members(),
+    ASSERT_EQ(stability.members(),
               std::vector<ProcessorId>(ref.members.begin(), ref.members.end()));
     for (std::uint32_t p = 1; p <= kSources; ++p) {
       const ProcessorId q{p};
-      ASSERT_EQ(romp.is_member(q), ref.members.contains(q));
-      ASSERT_EQ(romp.bound(q), RefRomp::get(ref.bounds, q));
-      ASSERT_EQ(romp.last_ack(q), RefRomp::get(ref.last_acks, q));
-      ASSERT_EQ(romp.last_ordered_seq(q), RefRomp::get(ref.last_ordered, q));
-      ASSERT_EQ(romp.consumed_up_to(q), RefRomp::get(ref.consumed, q));
+      ASSERT_EQ(stability.is_member(q), ref.members.contains(q));
+      ASSERT_EQ(stability.bound(q), RefRomp::get(ref.bounds, q));
+      ASSERT_EQ(stability.last_ack(q), RefRomp::get(ref.last_acks, q));
+      ASSERT_EQ(stability.consumed_up_to(q), RefRomp::get(ref.consumed, q));
     }
   }
 }

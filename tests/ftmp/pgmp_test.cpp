@@ -24,8 +24,9 @@ Message control(MessageType type, ProcessorId src, SeqNum seq, Timestamp ts, Bod
 struct PgmpFixture : ::testing::Test {
   Config config;
   Rmp rmp{kSelf, config};
-  Romp romp{kSelf, config};
-  Pgmp pgmp{kSelf, config, rmp, romp};
+  Stability stability{config};
+  LamportRule rule{stability};
+  Pgmp pgmp{kSelf, config, rmp, stability, rule};
 
   std::vector<ProcessorId> members(std::initializer_list<std::uint32_t> raw) {
     std::vector<ProcessorId> out;
@@ -35,7 +36,7 @@ struct PgmpFixture : ::testing::Test {
 
   void boot(std::initializer_list<std::uint32_t> raw) {
     pgmp.bootstrap(0, members(raw));
-    romp.set_members(members(raw));
+    stability.set_members(members(raw));
     (void)pgmp.take_output();
   }
 
@@ -177,8 +178,9 @@ TEST_F(PgmpFixture, ExactHalfNeedsSmallestId) {
 
 TEST_F(PgmpFixture, ExactHalfWithoutSmallestIdStalls) {
   Rmp rmp3{ProcessorId{3}, config};
-  Romp romp3{ProcessorId{3}, config};
-  Pgmp pgmp3{ProcessorId{3}, config, rmp3, romp3};
+  Stability stability3{config};
+  LamportRule rule3{stability3};
+  Pgmp pgmp3{ProcessorId{3}, config, rmp3, stability3, rule3};
   pgmp3.bootstrap(0, members({1, 2, 3, 4}));
   (void)pgmp3.take_output();
 
@@ -305,7 +307,7 @@ TEST_F(PgmpFixture, AddOrderedUpdatesEverything) {
   EXPECT_EQ(pgmp.membership().members, members({1, 2, 3, 4}));
   EXPECT_EQ(pgmp.membership().timestamp, 70u);
   EXPECT_TRUE(rmp.has_source(ProcessorId{4}));
-  EXPECT_EQ(romp.bound(ProcessorId{4}), 70u);
+  EXPECT_EQ(stability.bound(ProcessorId{4}), 70u);
 }
 
 TEST_F(PgmpFixture, SponsorResendsUntilNewMemberSpeaks) {
