@@ -1,10 +1,29 @@
 #include "ftmp/group_session.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace ftcorba::ftmp {
+
+namespace {
+
+// Steady-state batches hold a few frames (at most 32 in perfbench's flood,
+// invoke and failover workloads); one that grew past this came from a
+// repaired gap or a fault install's backlog, and its memory is given back
+// rather than kept.
+constexpr std::size_t kScratchFrames = 64;
+
+/// Hands a used scratch batch back to its member slot, emptied, so its
+/// capacity carries over, unless it grew past kScratchFrames.
+void recycle(std::vector<Frame>& slot, std::vector<Frame>&& used) {
+  if (used.capacity() > kScratchFrames) return;  // freed by the caller's local
+  used.clear();
+  slot = std::move(used);
+}
+
+}  // namespace
 
 GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
                            McastAddress group_addr, McastAddress domain_addr,
@@ -199,6 +218,7 @@ void GroupSession::begin_rebind(TimePoint now, const Message& connect_msg) {
   // fault detector takes over (an unreachable member is convicted).
   old_addr_retire_at_ = now + 4 * config_.fault_timeout;
   group_addr_ = body.multicast_address;
+  outbox_.addresses_changed = true;
   flush_ts_ = connect_msg.header.message_timestamp;
   rebind_requested_ = false;
   rebind_src_ = connect_msg.header.source;
@@ -222,6 +242,7 @@ void GroupSession::progress_flush(TimePoint now) {
   // flush is done.
   if (old_addr_ && !flush_ts_ && now >= old_addr_retire_at_) {
     old_addr_.reset();
+    outbox_.addresses_changed = true;
   }
 }
 
@@ -320,10 +341,10 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
       // Reliable, source-ordered path (Regular, Connect, AddProcessor,
       // RemoveProcessor, Suspect, Membership). Bodies stay raw slices of
       // the arrival buffer until delivery.
-      RmpAccept accept{};
-      for (Frame& m : rmp_.on_reliable(now, frame, &accept)) {
-        route_source_ordered(now, m);
-      }
+      std::vector<Frame> ready = std::exchange(rmp_ready_, {});
+      const RmpAccept accept = rmp_.on_reliable(now, frame, ready);
+      for (const Frame& m : ready) route_source_ordered(now, m);
+      recycle(rmp_ready_, std::move(ready));
       if (accept == RmpAccept::kOooDropped) {
         trace(now, metrics::TraceKind::kOooDropped, h.source.raw(),
               h.sequence_number);
@@ -339,12 +360,12 @@ void GroupSession::route_source_ordered(TimePoint now, const Frame& frame) {
   // reliable frame whatever the delivery rule; then totally-ordered frames
   // wait in the rule, and everything else is consumed here and now.
   const Header& h = frame.header;
-  stability_.note_receipt(h);
   if (is_totally_ordered(h.type)) {
+    stability_.note_receipt(h);
     rule_->on_ordered(frame, now);
     return;
   }
-  stability_.mark_consumed(h.source, h.sequence_number);
+  stability_.note_consumed_receipt(h);
   // Suspect and Membership are "Reliable: yes, Totally Ordered: no"
   // (Fig. 3): they reach PGMP straight from the source-ordered stream.
   // Their bodies are decoded here — membership changes are the cold path.
@@ -412,7 +433,7 @@ void GroupSession::deliver_ordered(TimePoint now, const Frame& frame) {
       } else {
         ev.giop_message = std::move(giop);
       }
-      delivered_hw_[ev.source.raw()] = ev.seq;
+      delivered_hw_[ev.source] = ev.seq;
       outbox_.events.emplace_back(std::move(ev));
       break;
     }
@@ -484,21 +505,20 @@ void GroupSession::emit_install(TimePoint now, InstallOut&& install) {
   for (ProcessorId gone : install.change.left) {
     reassembler_.forget(gone);
     flow_.forget_member(gone);
-    delivered_hw_.erase(gone.raw());
+    delivered_hw_.erase(gone);
   }
   // A (re-)joined member's stream rebases (fresh incarnation restarts at
   // seq 1), so its high-water mark must not carry over across the install.
   for (ProcessorId fresh : install.change.joined) {
-    delivered_hw_.erase(fresh.raw());
+    delivered_hw_.erase(fresh);
   }
   // Stamp the virtual-synchrony cut: per-source delivered-seq high-water
   // marks at this install point (docs/RECOVERY.md). Every surviving member
   // computes identical values — the install is a common cut.
   install.change.cut_seqs.clear();
   for (ProcessorId p : install.change.membership.members) {
-    auto it = delivered_hw_.find(p.raw());
-    install.change.cut_seqs.push_back(
-        SourceSeq{p, it == delivered_hw_.end() ? 0 : it->second});
+    const SeqNum* hw = delivered_hw_.find(p);
+    install.change.cut_seqs.push_back(SourceSeq{p, hw == nullptr ? 0 : *hw});
   }
   for (FaultReport& f : install.faults) {
     f.group = group_;
@@ -540,10 +560,11 @@ void GroupSession::pump(TimePoint now) {
       apply_pgmp_out(now, std::move(out));
       progress = true;
     }
-    for (Frame& m : rule_->collect_deliverable(now)) {
-      deliver_ordered(now, m);
-      progress = true;
-    }
+    std::vector<Frame> batch = std::exchange(deliverable_, {});
+    rule_->collect_deliverable(now, batch);
+    for (const Frame& m : batch) deliver_ordered(now, m);
+    progress = progress || !batch.empty();
+    recycle(deliverable_, std::move(batch));
     // Engine-originated control traffic (LLFT OrderInfo grants; empty in
     // Lamport mode): stamped and multicast like any protocol message.
     for (Body& body : rule_->take_protocol_sends()) {
@@ -556,10 +577,12 @@ void GroupSession::pump(TimePoint now) {
     }
   }
   if (config_.stability_gc) {
-    for (const auto& [src, seq] : stability_.collect_stable()) {
+    stability_.collect_stable(stable_);
+    for (const auto& [src, seq] : stable_) {
       rmp_.release(src, seq);
       if (src == self_) flow_.on_stable(now, seq);
     }
+    stable_.clear();
   }
   progress_flush(now);
   drain_flow_queue(now);

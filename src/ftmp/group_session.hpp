@@ -7,7 +7,6 @@
 // appended to the shared Outbox owned by the Stack.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -22,6 +21,7 @@
 #include "ftmp/ordering.hpp"
 #include "ftmp/pgmp.hpp"
 #include "ftmp/rmp.hpp"
+#include "ftmp/source_table.hpp"
 #include "ftmp/stability.hpp"
 #include "net/packet.hpp"
 
@@ -32,6 +32,9 @@ namespace ftcorba::ftmp {
 struct Outbox {
   std::vector<net::Datagram> packets;
   std::vector<Event> events;
+  /// Set when a session's current or retiring multicast address changes;
+  /// the Stack then refreshes its subscription list and clears it.
+  bool addresses_changed = false;
 };
 
 /// One group membership of one processor.
@@ -248,7 +251,17 @@ class GroupSession {
   // Per-source sequence number of the most recent delivered (event-
   // producing) Regular — the virtual-synchrony cut coordinates stamped
   // into MembershipChanged::cut_seqs at each install.
-  std::map<std::uint32_t, SeqNum> delivered_hw_;
+  SourceTable<SeqNum> delivered_hw_;
+
+  // Scratch buffers of the receive path: frames RMP released in source
+  // order, the delivery rule's current batch and the stability releases.
+  // Each is cleared after use so its capacity carries over. The first two
+  // are moved out while in use, so a reentrant call starts from empty, and
+  // are kept only up to a bound (recycle() in the .cpp), so a rare large
+  // batch does not pin its memory for the session's life.
+  std::vector<Frame> rmp_ready_;
+  std::vector<Frame> deliverable_;
+  std::vector<std::pair<ProcessorId, SeqNum>> stable_;
 
   // When this member was evicted (lame-duck bookkeeping).
   std::optional<TimePoint> deactivated_at_;

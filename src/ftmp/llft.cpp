@@ -245,15 +245,14 @@ void LlftRule::set_view(Timestamp view_ts) {
 void LlftRule::on_ordered(const Frame& frame, TimePoint now) {
   const Header& h = frame.header;
   if (h.type == MessageType::kOrderInfo) {
-    OrderInfoBody body;
     try {
-      body = std::get<OrderInfoBody>(decode_body(h, frame.body()));
+      decode_order_info(h, frame.raw.view().subspan(kHeaderSize), order_info_);
     } catch (const CodecError& e) {
       FTC_LOG(kWarn) << to_string(self_) << " malformed OrderInfo from "
                      << to_string(h.source) << ": " << e.what();
       return;
     }
-    consume_order_info(h.source, body, now);
+    consume_order_info(h.source, order_info_, now);
     return;
   }
   // Totally-ordered message: held per-source until its slot is granted.
@@ -290,8 +289,7 @@ Frame LlftRule::deliver_held(ProcessorId src, Stream& st, std::size_t i,
   return f;
 }
 
-std::vector<Frame> LlftRule::collect_deliverable(TimePoint now) {
-  std::vector<Frame> out;
+void LlftRule::collect_deliverable(TimePoint now, std::vector<Frame>& out) {
   while (!slots_.empty()) {
     const Slot s = slots_.front();
     Stream* st = streams_.find(s.src);
@@ -310,7 +308,6 @@ std::vector<Frame> LlftRule::collect_deliverable(TimePoint now) {
       break;
     }
   }
-  return out;
 }
 
 std::vector<Frame> LlftRule::drain_up_to_cut(

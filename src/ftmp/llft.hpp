@@ -62,7 +62,7 @@ class LlftRule final : public DeliveryRule {
 
   // ---- inputs / delivery ----
   void on_ordered(const Frame& frame, TimePoint now) override;
-  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
+  void collect_deliverable(TimePoint now, std::vector<Frame>& out) override;
   [[nodiscard]] std::size_t pending_count() const override { return held_count_; }
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
@@ -173,6 +173,9 @@ class LlftRule final : public DeliveryRule {
   // Emit a delivered-floor advisory with the next OrderInfo (armed at
   // accession / view change).
   bool advisory_pending_ = false;
+  // Scratch for decoding received OrderInfo bodies; its vectors keep their
+  // capacity from one grant batch to the next.
+  OrderInfoBody order_info_;
 
   DeliveryInstruments metrics_;
   LlftInstruments llft_metrics_;

@@ -54,10 +54,11 @@ void put_source_seqs(Writer& w, const std::vector<SourceSeq>& ss) {
   }
 }
 
-[[nodiscard]] std::vector<SourceSeq> get_source_seqs(Reader& r) {
+// Replaces the contents of `ss`, keeping its capacity.
+void get_source_seqs(Reader& r, std::vector<SourceSeq>& ss) {
   const std::uint32_t n = r.u32();
   if (n > r.remaining() / 12) throw CodecError("source-seq list too long");
-  std::vector<SourceSeq> ss;
+  ss.clear();
   ss.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     SourceSeq s;
@@ -65,7 +66,18 @@ void put_source_seqs(Writer& w, const std::vector<SourceSeq>& ss) {
     s.seq = r.u64();
     ss.push_back(s);
   }
+}
+
+[[nodiscard]] std::vector<SourceSeq> get_source_seqs(Reader& r) {
+  std::vector<SourceSeq> ss;
+  get_source_seqs(r, ss);
   return ss;
+}
+
+void get_order_info(Reader& r, OrderInfoBody& b) {
+  b.view_ts = static_cast<Timestamp>(r.u64());
+  get_source_seqs(r, b.floors);
+  get_source_seqs(r, b.grants);
 }
 
 struct BodyEncoder {
@@ -221,9 +233,7 @@ struct BodyEncoder {
     }
     case MessageType::kOrderInfo: {
       OrderInfoBody b;
-      b.view_ts = static_cast<Timestamp>(r.u64());
-      b.floors = get_source_seqs(r);
-      b.grants = get_source_seqs(r);
+      get_order_info(r, b);
       return b;
     }
   }
@@ -288,6 +298,13 @@ Body decode_body(const Header& header, BytesView body_bytes) {
   Body b = decode_body(header.type, r);
   if (!r.exhausted()) throw CodecError("trailing bytes after body");
   return b;
+}
+
+void decode_order_info(const Header& header, BytesView body_bytes, OrderInfoBody& out) {
+  if (header.type != MessageType::kOrderInfo) throw CodecError("not an OrderInfo");
+  Reader r(body_bytes, header.byte_order);
+  get_order_info(r, out);
+  if (!r.exhausted()) throw CodecError("trailing bytes after body");
 }
 
 Bytes encode_message(const Message& message) {

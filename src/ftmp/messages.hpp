@@ -249,6 +249,11 @@ struct Frame {
 /// CodecError on malformed input (including trailing garbage).
 [[nodiscard]] Body decode_body(const Header& header, BytesView body_bytes);
 
+/// Decodes an OrderInfo body into `out`, reusing the capacity of its
+/// vectors (the LLFT grant path decodes one per grant batch). Accepts and
+/// rejects exactly what decode_body does; throws CodecError.
+void decode_order_info(const Header& header, BytesView body_bytes, OrderInfoBody& out);
+
 /// Encodes header + body into a wire datagram payload. Sets
 /// header.message_size and header.type from the actual encoding; the byte
 /// order used is header.byte_order.

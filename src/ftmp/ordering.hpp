@@ -53,10 +53,10 @@ class DeliveryRule {
   /// the caller has no clock) feeds the wait histograms.
   virtual void on_ordered(const Frame& frame, TimePoint now) = 0;
 
-  /// Pops every frame that is now deliverable, in the group's total order.
-  /// A batch ends after any non-Regular message, so the session applies a
-  /// membership change before ordering continues.
-  [[nodiscard]] virtual std::vector<Frame> collect_deliverable(TimePoint now) = 0;
+  /// Pops every frame that is now deliverable, in the group's total order,
+  /// appending them to `out`. A batch ends after any non-Regular message,
+  /// so the session applies a membership change before ordering continues.
+  virtual void collect_deliverable(TimePoint now, std::vector<Frame>& out) = 0;
 
   /// Finalizes the old view at a fault install (PGMP §7.2): returns the
   /// frames with seq <= cuts[source] still undelivered, and drops a

@@ -648,8 +648,8 @@ void Pgmp::tick(TimePoint now) {
   bool suspects_changed = false;
   for (ProcessorId m : membership_.members) {
     if (m == self_ || my_suspects_.contains(m)) continue;
-    auto it = last_heard_.find(m);
-    const TimePoint heard = it == last_heard_.end() ? 0 : it->second;
+    const TimePoint* it = last_heard_.find(m);
+    const TimePoint heard = it == nullptr ? 0 : *it;
     if (now - heard > config_.fault_timeout) {
       my_suspects_.insert(m);
       metrics_.suspicions.add();
@@ -695,9 +695,8 @@ void Pgmp::tick(TimePoint now) {
   // make_add for that processor forever while resending an AddProcessor
   // whose membership timestamp the joiner's rejoin floor already rejects.
   for (auto it = pending_joins_.begin(); it != pending_joins_.end();) {
-    auto heard = last_heard_.find(it->new_member);
-    const bool joiner_live =
-        heard != last_heard_.end() && heard->second > it->started;
+    const TimePoint* heard = last_heard_.find(it->new_member);
+    const bool joiner_live = heard != nullptr && *heard > it->started;
     const bool joiner_gone = !contains(membership_.members, it->new_member);
     const bool gave_up = now - it->started > 10 * config_.fault_timeout;
     if (joiner_live || joiner_gone || gave_up) {

@@ -51,6 +51,7 @@
 #include "ftmp/messages.hpp"
 #include "ftmp/ordering.hpp"
 #include "ftmp/rmp.hpp"
+#include "ftmp/source_table.hpp"
 #include "ftmp/stability.hpp"
 
 namespace ftcorba::ftmp {
@@ -238,7 +239,7 @@ class Pgmp {
   MembershipInfo membership_;
 
   // Fault detector.
-  std::unordered_map<ProcessorId, TimePoint> last_heard_;
+  SourceTable<TimePoint> last_heard_;
   std::set<ProcessorId> my_suspects_;
   // Suspicions that survive note_heard (slow receivers reported via
   // suspect_slow keep talking); subset of my_suspects_.

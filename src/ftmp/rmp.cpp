@@ -188,18 +188,15 @@ void Rmp::store_in(SeqWindow<Stored>& store, SeqNum seq, SharedBytes raw) {
   metrics_.store_bytes.add(static_cast<std::int64_t>(size));
 }
 
-std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
-                                    RmpAccept* accept) {
-  RmpAccept sink;
-  RmpAccept& disposed = accept ? *accept : sink;
+RmpAccept Rmp::on_reliable(TimePoint now, Frame frame, std::vector<Frame>& out) {
+  RmpAccept disposed{};
   const ProcessorId src = frame.header.source;
   const SeqNum seq = frame.header.sequence_number;
   Stream* stream = streams_.find(src);
   if (stream == nullptr || stream->state == nullptr) {
     stats_.dropped_unknown_source += 1;
     metrics_.dropped_unknown.add();
-    disposed = RmpAccept::kUnknownSource;
-    return {};
+    return RmpAccept::kUnknownSource;
   }
   SourceState& st = *stream->state;
 
@@ -209,20 +206,18 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     // re-add): poisonous if accepted into the fresh stream.
     stats_.dropped_stale_incarnation += 1;
     metrics_.dropped_stale.add();
-    disposed = RmpAccept::kStaleIncarnation;
-    return {};
+    return RmpAccept::kStaleIncarnation;
   }
   if (seq <= st.contiguous || st.out_of_order.find(seq) != nullptr) {
     stats_.duplicates_ignored += 1;
     metrics_.duplicates.add();
-    disposed = RmpAccept::kDuplicate;
-    return {};
+    return RmpAccept::kDuplicate;
   }
 
   store_in(stream->store, seq, frame.raw);
   st.highest_seen = std::max(st.highest_seen, seq);
 
-  std::vector<Frame> deliver;
+  const std::size_t first = out.size();
   if (seq == st.contiguous + 1) {
     disposed = RmpAccept::kDelivered;
     // Delivery progress: the NACKs are working — drop back to the fast
@@ -233,13 +228,13 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     }
     st.contiguous = seq;
     stats_.delivered_in_order += 1;
-    deliver.push_back(std::move(frame));
+    out.push_back(std::move(frame));
     if (!st.out_of_order.empty()) {
       // Drain any buffered messages that are now contiguous.
       while (Frame* next = st.out_of_order.find(st.contiguous + 1)) {
         st.contiguous += 1;
         stats_.delivered_in_order += 1;
-        deliver.push_back(std::move(*next));
+        out.push_back(std::move(*next));
         metrics_.out_of_order.add(-1);
       }
       st.out_of_order.trim(st.contiguous, [](const Frame&) {});
@@ -260,9 +255,9 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     }
     queue_nacks(now, st, src);
   }
-  metrics_.delivered.add(deliver.size());
+  metrics_.delivered.add(out.size() - first);
   update_gap_state(now, st);
-  return deliver;
+  return disposed;
 }
 
 void Rmp::on_heartbeat(TimePoint now, const Header& header) {

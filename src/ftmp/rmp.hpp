@@ -56,7 +56,7 @@ struct RmpStats {
   std::uint64_t ooo_dropped = 0;  ///< drops at the max_out_of_order_buffer cap
 };
 
-/// How on_reliable disposed of a message (optional out-param; tests and the
+/// How on_reliable disposed of a message (its return value; tests and the
 /// session's drop tracing key off it).
 enum class RmpAccept : std::uint8_t {
   kDelivered,         ///< extended the contiguous prefix (maybe draining buffered)
@@ -143,14 +143,12 @@ class Rmp {
 
   /// Handles a reliable message (Regular, Connect, AddProcessor,
   /// RemoveProcessor, Suspect, Membership), presented as a Frame: decoded
-  /// header + the raw datagram slice (body not yet decoded). Returns the
-  /// frames that are now deliverable in source order (possibly empty,
-  /// possibly several when a gap fills). May queue NACKs. `accept`, when
-  /// non-null, receives how the message was disposed of (notably
-  /// kOooDropped at the buffer cap, which is otherwise invisible to the
-  /// caller).
-  [[nodiscard]] std::vector<Frame> on_reliable(TimePoint now, Frame frame,
-                                               RmpAccept* accept = nullptr);
+  /// header + the raw datagram slice (body not yet decoded). Appends to
+  /// `out` the frames that are now deliverable in source order (possibly
+  /// none, possibly several when a gap fills). May queue NACKs. Returns how
+  /// the message was disposed of (notably kOooDropped at the buffer cap,
+  /// which is otherwise invisible to the caller).
+  RmpAccept on_reliable(TimePoint now, Frame frame, std::vector<Frame>& out);
 
   /// Handles a Heartbeat header: updates gap knowledge from the carried
   /// sequence number and schedules NACKs for revealed gaps. The heartbeat

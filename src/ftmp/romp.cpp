@@ -21,12 +21,11 @@ void LamportRule::on_ordered(const Frame& frame, TimePoint now) {
   }
 }
 
-std::vector<Frame> LamportRule::collect_deliverable(TimePoint now) {
-  std::vector<Frame> out;
+void LamportRule::collect_deliverable(TimePoint now, std::vector<Frame>& out) {
   // Any member never heard from stalls delivery (bound 0), which is
   // precisely the "ordering of messages stops until faulty processors are
   // removed" behaviour of §7.
-  if (pending_count_ == 0 || !stability_.bounds_cover(head_floor_)) return out;
+  if (pending_count_ == 0 || !stability_.bounds_cover(head_floor_)) return;
   const Timestamp stable = stability_.stable_timestamp();
   for (;;) {
     // Merge the per-source heads: smallest timestamp, ties to the smallest
@@ -62,7 +61,6 @@ std::vector<Frame> LamportRule::collect_deliverable(TimePoint now) {
       break;
     }
   }
-  return out;
 }
 
 std::vector<Frame> LamportRule::drain_up_to_cut(

@@ -39,7 +39,7 @@ class LamportRule final : public DeliveryRule {
 
   /// Pops every pending frame whose timestamp all members' bounds have
   /// passed, in (timestamp, source) order.
-  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
+  void collect_deliverable(TimePoint now, std::vector<Frame>& out) override;
 
   /// Takes the at-or-below-cut frames out of every FIFO in (timestamp,
   /// source) order and drops a non-survivor's beyond-cut frames.

@@ -93,8 +93,15 @@ void Stability::raise_bound(Source& s, Timestamp t) {
   if (s.member && old == min_bound_) refresh_minima();
 }
 
-void Stability::note_receipt(const Header& h) {
+void Stability::note_receipt(const Header& h) { receive(observe_header(h), h); }
+
+void Stability::note_consumed_receipt(const Header& h) {
   Source& s = observe_header(h);
+  receive(s, h);
+  consume(s, h.sequence_number);
+}
+
+void Stability::receive(Source& s, const Header& h) {
   raise_bound(s, h.message_timestamp);
   // Timestamps rise along a source's stream, so this appends; a repeated
   // timestamp keeps one entry with the later seq.
@@ -112,8 +119,9 @@ void Stability::on_heartbeat(const Header& header, SeqNum contiguous_seq) {
   if (header.sequence_number == contiguous_seq) raise_bound(s, header.message_timestamp);
 }
 
-void Stability::mark_consumed(ProcessorId src, SeqNum seq) {
-  Source& s = sources_[src];
+void Stability::mark_consumed(ProcessorId src, SeqNum seq) { consume(sources_[src], seq); }
+
+void Stability::consume(Source& s, SeqNum seq) {
   if (seq != s.consumed + 1) {
     if (seq > s.consumed) s.consumed_ahead.insert_sorted(seq, [](SeqNum v) { return v; });
     return;
@@ -135,10 +143,9 @@ Timestamp Stability::last_ack(ProcessorId q) const {
   return s == nullptr ? 0 : s->last_ack;
 }
 
-std::vector<std::pair<ProcessorId, SeqNum>> Stability::collect_stable() {
-  std::vector<std::pair<ProcessorId, SeqNum>> out;
+void Stability::collect_stable(std::vector<std::pair<ProcessorId, SeqNum>>& out) {
   const Timestamp stable = stable_timestamp();
-  if (stable <= last_stable_) return out;
+  if (stable <= last_stable_) return;
   last_stable_ = stable;
   for (auto& [src, s] : sources_) {
     // Everything up to the seq of the largest timestamp <= stable is
@@ -152,7 +159,6 @@ std::vector<std::pair<ProcessorId, SeqNum>> Stability::collect_stable() {
     out.emplace_back(src, up_to);
     stability_releases_.add();
   }
-  return out;
 }
 
 }  // namespace ftcorba::ftmp

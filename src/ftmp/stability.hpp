@@ -127,6 +127,11 @@ class Stability {
   /// delivery rule as a source-ordered control message.
   void mark_consumed(ProcessorId src, SeqNum seq);
 
+  /// note_receipt followed by mark_consumed of the same message, with one
+  /// lookup of the source: the path of every reliable frame that is not
+  /// totally ordered.
+  void note_consumed_receipt(const Header& h);
+
   /// The largest S such that every message from `src` with seq <= S has
   /// been consumed here. This is the safe stream-resume point a sponsor
   /// reports for a new member: control messages may be stability-purged
@@ -146,11 +151,11 @@ class Stability {
   /// (flow.hpp): stable_timestamp() is the min of these over members.
   [[nodiscard]] Timestamp last_ack(ProcessorId q) const;
 
-  /// Advances stability: returns, per source, the largest sequence number
-  /// whose message has become stable since the last call. The session
-  /// forwards these to Rmp::release (§6: "ROMP then recovers the buffer
-  /// space").
-  [[nodiscard]] std::vector<std::pair<ProcessorId, SeqNum>> collect_stable();
+  /// Advances stability: appends to `out`, per source, the largest
+  /// sequence number whose message has become stable since the last call.
+  /// The session forwards these to Rmp::release (§6: "ROMP then recovers
+  /// the buffer space").
+  void collect_stable(std::vector<std::pair<ProcessorId, SeqNum>>& out);
 
  private:
   static constexpr Timestamp kNoMember = ~Timestamp{0};
@@ -174,6 +179,8 @@ class Stability {
   };
 
   Source& observe_header(const Header& h);
+  void receive(Source& s, const Header& h);
+  static void consume(Source& s, SeqNum seq);
   void raise_bound(Source& s, Timestamp t);
   void refresh_minima();
 

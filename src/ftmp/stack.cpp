@@ -10,7 +10,7 @@ namespace ftcorba::ftmp {
 Stack::Stack(ProcessorId self, FtDomainId domain, McastAddress domain_addr, Config config)
     : self_(self), domain_(domain), domain_addr_(domain_addr), config_(config),
       batcher_(config_) {
-  subscriptions_.insert(domain_addr_.raw());
+  subscribe(domain_addr_);
   malformed_ = metrics::counter(
       "ftmp_stack_malformed_datagrams_total",
       "Datagrams dropped: not FTMP-framed or failed header/body decode",
@@ -26,7 +26,7 @@ GroupSession& Stack::make_session(ProcessorGroupId g, McastAddress addr) {
                                                 config_, outbox_);
   session->set_flow_listener(flow_listener_);
   auto [it, inserted] = sessions_.emplace(g, std::move(session));
-  subscriptions_.insert(addr.raw());
+  subscribe(addr);
   return *it->second;
 }
 
@@ -44,7 +44,7 @@ void Stack::create_group(TimePoint now, ProcessorGroupId group, McastAddress add
 void Stack::expect_join(ProcessorGroupId group, McastAddress addr) {
   if (sessions_.contains(group)) return;
   expected_joins_[group] = addr;
-  subscriptions_.insert(addr.raw());
+  subscribe(addr);
 }
 
 bool Stack::add_processor(TimePoint now, ProcessorGroupId group, ProcessorId new_member) {
@@ -81,7 +81,7 @@ void Stack::open_connection(TimePoint now, const ConnectionId& connection,
   ClientConn state;
   state.server_domain_addr = server_domain_addr;
   state.client_processors = client_processors;
-  subscriptions_.insert(server_domain_addr.raw());
+  subscribe(server_domain_addr);
   auto [it, inserted] = client_conns_.emplace(connection, std::move(state));
   if (!inserted) return;
   send_connect_request(now, connection, it->second);
@@ -239,7 +239,7 @@ void Stack::client_on_connect(TimePoint now, const Message& msg) {
   state.connect_seen = true;
   state.bound_group = body.processor_group;
   state.bound_addr = body.multicast_address;
-  subscriptions_.insert(body.multicast_address.raw());
+  subscribe(body.multicast_address);
   GroupSession* s = this->group(body.processor_group);
   if (s && s->active() && s->is_member(self_)) {
     state.established = true;
@@ -423,6 +423,10 @@ void Stack::observe_events(TimePoint now) {
     }
   }
   events_observed_ = outbox_.events.size();
+  if (outbox_.addresses_changed) {
+    outbox_.addresses_changed = false;
+    refresh_subscriptions();
+  }
   progress_server_conns(now);
 }
 
@@ -460,18 +464,22 @@ std::vector<Event> Stack::take_events() {
   return out;
 }
 
-std::vector<McastAddress> Stack::subscriptions() const {
-  std::set<std::uint32_t> all = subscriptions_;
+void Stack::subscribe(McastAddress addr) {
+  subscriptions_.insert(addr.raw());
+  refresh_subscriptions();
+}
+
+void Stack::refresh_subscriptions() {
+  subscribed_.clear();
+  for (std::uint32_t raw : subscriptions_) subscribed_.emplace_back(raw);
   // Sessions can move to a new address at runtime (Connect rebind, §7);
   // their current and retiring addresses must both be joined.
   for (const auto& [g, session] : sessions_) {
-    all.insert(session->address().raw());
-    if (auto retiring = session->retiring_address()) all.insert(retiring->raw());
+    subscribed_.push_back(session->address());
+    if (auto retiring = session->retiring_address()) subscribed_.push_back(*retiring);
   }
-  std::vector<McastAddress> out;
-  out.reserve(all.size());
-  for (std::uint32_t raw : all) out.emplace_back(raw);
-  return out;
+  std::sort(subscribed_.begin(), subscribed_.end());
+  subscribed_.erase(std::unique(subscribed_.begin(), subscribed_.end()), subscribed_.end());
 }
 
 bool Stack::leave_group(TimePoint now, ProcessorGroupId g) {
@@ -484,6 +492,7 @@ bool Stack::drop_group(ProcessorGroupId g) {
   Timestamp& floor = join_ts_floor_[g];
   floor = std::max(floor, it->second->membership().timestamp);
   sessions_.erase(it);
+  refresh_subscriptions();
   return true;
 }
 

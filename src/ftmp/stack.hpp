@@ -172,8 +172,12 @@ class Stack {
   /// Drains upward events.
   [[nodiscard]] std::vector<Event> take_events();
 
-  /// Multicast addresses the driver must currently be subscribed to.
-  [[nodiscard]] std::vector<McastAddress> subscriptions() const;
+  /// Multicast addresses the driver must currently be subscribed to,
+  /// sorted. Kept current by every call that changes them, so reading it
+  /// copies nothing and mutates nothing.
+  [[nodiscard]] const std::vector<McastAddress>& subscriptions() const {
+    return subscribed_;
+  }
 
   /// Input-error counters.
   [[nodiscard]] const StackStats& stats() const { return stats_; }
@@ -206,6 +210,11 @@ class Stack {
   void progress_server_conns(TimePoint now);
   void observe_events(TimePoint now);
   GroupSession& make_session(ProcessorGroupId g, McastAddress addr);
+  /// Adds `addr` to the addresses joined on request.
+  void subscribe(McastAddress addr);
+  /// Rebuilds subscribed_ from subscriptions_ and the sessions' current and
+  /// retiring addresses.
+  void refresh_subscriptions();
 
   ProcessorId self_;
   FtDomainId domain_;
@@ -220,7 +229,11 @@ class Stack {
   // AddProcessor of an earlier join cycle (its clock would start behind
   // the bound the group granted the new incarnation).
   std::unordered_map<ProcessorGroupId, Timestamp> join_ts_floor_;
+  // Addresses joined on request (domain, expected joins, connection
+  // servers and binds, session creation), and the sorted union of these
+  // with every session's current and retiring address.
   std::set<std::uint32_t> subscriptions_;
+  std::vector<McastAddress> subscribed_;
 
   std::optional<ProcessorGroupId> serve_group_;
   std::map<ConnectionId, ClientConn> client_conns_;

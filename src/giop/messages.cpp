@@ -195,6 +195,13 @@ GiopMessage decode(BytesView data) {
   return m;
 }
 
+std::optional<MsgType> peek_type(BytesView data) {
+  if (data.size() < kGiopHeaderSize || !looks_like_giop(data) || data[7] > 7) {
+    return std::nullopt;
+  }
+  return static_cast<MsgType>(data[7]);
+}
+
 bool looks_like_giop(BytesView data) {
   if (data.size() < 4) return false;
   for (std::size_t i = 0; i < 4; ++i) {

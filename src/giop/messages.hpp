@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -144,6 +145,11 @@ struct GiopMessage {
 
 /// Decodes a GIOP message; throws CdrError on malformed input.
 [[nodiscard]] GiopMessage decode(BytesView data);
+
+/// The message type from the fixed 12-byte header, read without decoding
+/// anything else: nullopt unless `data` holds a whole header with the GIOP
+/// magic and a known type. A message it accepts may still fail decode().
+[[nodiscard]] std::optional<MsgType> peek_type(BytesView data);
 
 /// True if `data` begins with the GIOP magic.
 [[nodiscard]] bool looks_like_giop(BytesView data);

@@ -4,6 +4,26 @@
 
 namespace ftcorba::orb {
 
+namespace {
+
+// Requests and replies are deduplicated (by direction); other GIOP
+// messages are not.
+std::optional<ft::MessageKind> dedup_kind(std::optional<giop::MsgType> type) {
+  if (!type) return std::nullopt;
+  switch (*type) {
+    case giop::MsgType::kRequest:
+    case giop::MsgType::kLocateRequest:
+      return ft::MessageKind::kRequest;
+    case giop::MsgType::kReply:
+    case giop::MsgType::kLocateReply:
+      return ft::MessageKind::kReply;
+    default:
+      return std::nullopt;
+  }
+}
+
+}  // namespace
+
 Orb::Orb(ftmp::Stack& stack, ByteOrder byte_order)
     : stack_(stack), byte_order_(byte_order) {
   metrics_.requests_dispatched = metrics::counter(
@@ -107,6 +127,17 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
   const auto* dm = std::get_if<ftmp::DeliveredMessage>(&event);
   if (!dm) return;
 
+  // Every request and reply reaches both groups once per replica (§4).
+  // Replica copies are dropped on the fixed GIOP header, before the body is
+  // decoded; a copy is recorded only once it decodes, so a corrupt first
+  // copy does not shadow a good later one.
+  const std::optional<ft::MessageKind> kind = dedup_kind(giop::peek_type(dm->giop_message));
+  if (kind && dedup_.suppress_seen(dm->connection, dm->request_num, *kind)) {
+    stats_.duplicates_suppressed += 1;
+    metrics_.duplicates_suppressed.add();
+    return;
+  }
+
   giop::GiopMessage msg;
   try {
     msg = giop::decode(dm->giop_message);
@@ -116,14 +147,10 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
     FTC_LOG(kDebug) << "orb: undecodable GIOP payload: " << e.what();
     return;
   }
+  if (kind) (void)dedup_.accept(dm->connection, dm->request_num, *kind);
 
   switch (msg.header.type) {
     case giop::MsgType::kRequest:
-      if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kRequest)) {
-        stats_.duplicates_suppressed += 1;
-        metrics_.duplicates_suppressed.add();
-        return;
-      }
       if (log_) {
         log_->record(ft::LogEntry{ft::MessageKind::kRequest, dm->connection,
                                   dm->request_num, dm->timestamp, dm->giop_message});
@@ -132,19 +159,9 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
                      msg.header.byte_order);
       break;
     case giop::MsgType::kLocateRequest:
-      if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kRequest)) {
-        stats_.duplicates_suppressed += 1;
-        metrics_.duplicates_suppressed.add();
-        return;
-      }
       handle_locate_request(now, *dm, std::get<giop::LocateRequest>(msg.body));
       break;
     case giop::MsgType::kReply:
-      if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
-        stats_.duplicates_suppressed += 1;
-        metrics_.duplicates_suppressed.add();
-        return;
-      }
       if (log_) {
         log_->record(ft::LogEntry{ft::MessageKind::kReply, dm->connection,
                                   dm->request_num, dm->timestamp, dm->giop_message});
@@ -152,11 +169,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       handle_reply(now, std::get<giop::Reply>(msg.body), *dm, msg.header.byte_order);
       break;
     case giop::MsgType::kLocateReply: {
-      if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
-        stats_.duplicates_suppressed += 1;
-        metrics_.duplicates_suppressed.add();
-        return;
-      }
       auto it = locate_handlers_.find({dm->connection, dm->request_num});
       if (it != locate_handlers_.end()) {
         auto handler = std::move(it->second);

@@ -1,7 +1,6 @@
 #include "runtime/shard.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <variant>
 
@@ -444,21 +443,20 @@ std::vector<ftmp::Event> ShardedRuntime::take_events() {
 }
 
 std::vector<McastAddress> ShardedRuntime::subscriptions() const {
-  std::set<std::uint32_t> all;
-  if (inline_mode_ || !running()) {
-    for (const auto& sh : shards_) {
-      for (McastAddress a : sh->stack->subscriptions()) all.insert(a.raw());
-    }
-  } else {
-    for (const auto& sh : shards_) {
+  if (inline_mode_) return shards_.front()->stack->subscriptions();
+  std::vector<McastAddress> all;
+  for (const auto& sh : shards_) {
+    if (running()) {
       std::lock_guard lk(sh->sub_mu);
-      for (McastAddress a : sh->subs) all.insert(a.raw());
+      all.insert(all.end(), sh->subs.begin(), sh->subs.end());
+    } else {
+      const auto& subs = sh->stack->subscriptions();
+      all.insert(all.end(), subs.begin(), subs.end());
     }
   }
-  std::vector<McastAddress> out;
-  out.reserve(all.size());
-  for (std::uint32_t raw : all) out.emplace_back(raw);
-  return out;
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
 }
 
 // ---- introspection --------------------------------------------------------

@@ -112,9 +112,9 @@ TEST(Llft, FollowerRecoversGrantGapsThroughRetransmission) {
   h.network().set_partition({ids({3})});
   for (int round = 0; round < 5; ++round) {
     for (ProcessorId p : ids({1, 2})) {
-      h.stack(p).group(kGroup)->send_regular(
-          h.now(), test_conn(), ++req,
-          bytes_of("gap-" + std::to_string(req)));
+      ++req;
+      h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), req,
+                                             bytes_of("gap-" + std::to_string(req)));
     }
     h.run_for(10 * kMillisecond);
   }

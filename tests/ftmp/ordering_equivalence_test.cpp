@@ -1,10 +1,11 @@
-// Lamport pin (ISSUE 10): the OrderingPolicy extraction must leave the
-// default (Lamport ROMP) mode byte-identical to the pre-refactor stack.
-// The digests below were captured from the tree BEFORE the seam existed
-// (commit ae8a84b) running exactly this scenario; any wire or delivery
-// drift in default mode is a failing build, not a judgement call. A
-// second test pins the `ordering_mode` knob itself as inert: explicitly
-// selecting lamport must digest identically to saying nothing.
+// Lamport pin: the default mode (LamportRule over the shared Stability,
+// behind the DeliveryRule seam of ordering.hpp) must stay byte-identical to
+// the stack from before ordering became pluggable. The digests below were
+// captured from the tree BEFORE any ordering seam existed (commit ae8a84b)
+// running exactly this scenario; any wire or delivery drift in default mode
+// is a failing build, not a judgement call. A second test pins the
+// `ordering_mode` knob itself as inert: explicitly selecting lamport must
+// digest identically to saying nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -219,9 +219,9 @@ void run_romp_differential(std::uint64_t seed) {
       stability.on_heartbeat(h, contiguous);
       ref.on_heartbeat(h, contiguous);
     } else if (op < 82) {
-      ASSERT_EQ(keys(headers(rule.collect_deliverable(0))), keys(ref.collect_deliverable()));
+      ASSERT_EQ(keys(headers(deliverable(rule))), keys(ref.collect_deliverable()));
     } else if (op < 92) {
-      auto got = stability.collect_stable();
+      auto got = stable(stability);
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, ref.collect_stable());
     } else if (op < 95) {
@@ -533,7 +533,7 @@ void run_receive_differential(std::uint64_t seed) {
       h.sequence_number = seq;
       h.message_timestamp = 1;
       std::vector<SeqNum> got;
-      for (const Frame& f : rmp.on_reliable(now, Frame{h, SharedBytes(Bytes{1, 2, 3})})) {
+      for (const Frame& f : reliable(rmp, now, Frame{h, SharedBytes(Bytes{1, 2, 3})})) {
         got.push_back(f.header.sequence_number);
       }
       ASSERT_EQ(got, ref.on_reliable(now, src, seq));
@@ -584,7 +584,7 @@ TEST(OrderingStateDifferential, NackWalkOverTheTopSequenceMatchesReference) {
     h.source = src;
     h.sequence_number = seq;
     h.message_timestamp = 1;
-    (void)rmp.on_reliable(now, Frame{h, SharedBytes(Bytes{1})});
+    (void)reliable(rmp, now, Frame{h, SharedBytes(Bytes{1})});
     (void)ref.on_reliable(now, src, seq);
     now += 10 * kMillisecond;
     rmp.on_tick(now);

@@ -5,6 +5,7 @@
 
 #include "ftmp/pgmp.hpp"
 #include "ftmp/romp.hpp"
+#include "routing.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -43,7 +44,7 @@ struct PgmpFixture : ::testing::Test {
   // Routes a control message through RMP first (as GroupSession does), so
   // the PGMP completeness check sees a consistent contiguous stream.
   void feed(const Message& msg) {
-    for (Frame& f : rmp.on_reliable(0, Frame{msg.header, encode_message(msg)})) {
+    for (Frame& f : reliable(rmp, 0, Frame{msg.header, encode_message(msg)})) {
       const Message delivered{f.header, decode_body(f.header, f.body())};
       if (delivered.header.type == MessageType::kSuspect) {
         pgmp.on_suspect(0, delivered);
@@ -185,7 +186,7 @@ TEST_F(PgmpFixture, ExactHalfWithoutSmallestIdStalls) {
   (void)pgmp3.take_output();
 
   auto feed3 = [&](const Message& msg) {
-    for (Frame& f : rmp3.on_reliable(0, Frame{msg.header, encode_message(msg)})) {
+    for (Frame& f : reliable(rmp3, 0, Frame{msg.header, encode_message(msg)})) {
       const Message delivered{f.header, decode_body(f.header, f.body())};
       if (delivered.header.type == MessageType::kSuspect) {
         pgmp3.on_suspect(0, delivered);

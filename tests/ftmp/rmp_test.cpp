@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ftmp/rmp.hpp"
+#include "routing.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -38,7 +39,7 @@ struct RmpFixture : ::testing::Test {
   }
 
   std::vector<Frame> feed(const Message& m, TimePoint now = 0) {
-    return rmp.on_reliable(now, frame_of(m));
+    return reliable(rmp, now, frame_of(m));
   }
 };
 
@@ -134,7 +135,7 @@ TEST_F(RmpFixture, SourceOnlyPolicyRefusesOthersMessages) {
   strict.any_holder_retransmit = false;
   Rmp rmp2(kSelf, strict);
   rmp2.add_source(kPeer, 0);
-  (void)rmp2.on_reliable(0, frame_of(regular(kPeer, 1)));
+  (void)reliable(rmp2, 0, frame_of(regular(kPeer, 1)));
   rmp2.on_retransmit_request(10 * kMillisecond, RetransmitRequestBody{kPeer, 1, 1});
   EXPECT_TRUE(rmp2.take_output().empty()) << "not the source: must not retransmit";
   // But our own messages are always served.
@@ -190,7 +191,7 @@ TEST_F(RmpFixture, AssignSeqMonotone) {
 
 TEST_F(RmpFixture, JoiningSourceStartsMidStream) {
   rmp.add_source(ProcessorId{3}, 10);  // join: expect from 11
-  EXPECT_EQ(rmp.on_reliable(0, frame_of(regular(ProcessorId{3}, 11))).size(), 1u);
+  EXPECT_EQ(reliable(rmp, 0, frame_of(regular(ProcessorId{3}, 11))).size(), 1u);
   EXPECT_EQ(rmp.contiguous(ProcessorId{3}), 11u);
 }
 
@@ -201,9 +202,8 @@ TEST(RmpOooCap, DropsAtCapWithDistinctStatus) {
   rmp.add_source(kSelf, 0);
   rmp.add_source(kPeer, 0);
   auto feed = [&](const Message& m) {
-    RmpAccept accept{};
-    (void)rmp.on_reliable(0, frame_of(m), &accept);
-    return accept;
+    std::vector<Frame> delivered;
+    return rmp.on_reliable(0, frame_of(m), delivered);
   };
   // Seqs 1-2 missing: 3 and 4 park in the out-of-order buffer, 5 hits the cap.
   EXPECT_EQ(feed(regular(kPeer, 3)), RmpAccept::kBuffered);
@@ -242,7 +242,7 @@ TEST(RmpBackoff, OffMeansFixedSpacing) {
   Config config;  // nack_backoff_max = 0: fixed nack_interval spacing
   Rmp rmp(kSelf, config);
   rmp.add_source(kPeer, 0);
-  (void)rmp.on_reliable(0, Frame{regular(kPeer, 1).header, encode_message(regular(kPeer, 1))});
+  (void)reliable(rmp, 0, Frame{regular(kPeer, 1).header, encode_message(regular(kPeer, 1))});
   rmp.note_exists(0, kPeer, 5);  // open a gap that never fills
   (void)rmp.take_output();       // discard the immediate first NACK
   const auto times = nack_times(rmp, kMillisecond, 100 * kMillisecond);
@@ -298,7 +298,7 @@ TEST(RmpBackoff, DeliveryProgressResetsSpacing) {
   rmp.add_source(kPeer, 0);
   auto feed = [&](SeqNum seq, TimePoint t) {
     const Message m = regular(kPeer, seq);
-    (void)rmp.on_reliable(t, Frame{m.header, encode_message(m)});
+    (void)reliable(rmp, t, Frame{m.header, encode_message(m)});
   };
   rmp.note_exists(0, kPeer, 6);
   (void)rmp.take_output();

@@ -57,11 +57,11 @@ struct RompFixture : ::testing::Test {
 
 TEST_F(RompFixture, NoDeliveryUntilAllBoundsPass) {
   receive(regular(kP2, 1, 10));
-  EXPECT_TRUE(rule.collect_deliverable(0).empty()) << "P1/P3 bounds still 0";
+  EXPECT_TRUE(deliverable(rule).empty()) << "P1/P3 bounds still 0";
   stability.on_heartbeat(heartbeat(kP1, 0, 11), 0);
-  EXPECT_TRUE(rule.collect_deliverable(0).empty()) << "P3 bound still 0";
+  EXPECT_TRUE(deliverable(rule).empty()) << "P3 bound still 0";
   stability.on_heartbeat(heartbeat(kP3, 0, 12), 0);
-  const auto out = rule.collect_deliverable(0);
+  const auto out = deliverable(rule);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].header.source, kP2);
 }
@@ -73,7 +73,7 @@ TEST_F(RompFixture, DeliveryInTimestampOrderWithSourceTieBreak) {
   stability.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   stability.on_heartbeat(heartbeat(kP2, 2, 20), 2);
   stability.on_heartbeat(heartbeat(kP3, 1, 20), 1);
-  const auto out = rule.collect_deliverable(0);
+  const auto out = deliverable(rule);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].header.source, kP2);  // (5, P2)
   EXPECT_EQ(out[1].header.source, kP3);  // (5, P3)
@@ -86,12 +86,12 @@ TEST_F(RompFixture, HeartbeatWithStaleSeqDoesNotRaiseBound) {
   // P3's heartbeat claims seq 4, but we've contiguously received only 0:
   // messages 1..4 are in flight with unknown (smaller) timestamps.
   stability.on_heartbeat(heartbeat(kP3, 4, 50), 0);
-  EXPECT_TRUE(rule.collect_deliverable(0).empty());
+  EXPECT_TRUE(deliverable(rule).empty());
   EXPECT_EQ(stability.bound(kP3), 0u);
   // Matching seq raises it.
   stability.on_heartbeat(heartbeat(kP3, 0, 50), 0);
   EXPECT_EQ(stability.bound(kP3), 50u);
-  EXPECT_EQ(rule.collect_deliverable(0).size(), 1u);
+  EXPECT_EQ(deliverable(rule).size(), 1u);
 }
 
 TEST_F(RompFixture, OrderedTypesEnterPending) {
@@ -142,12 +142,12 @@ TEST_F(RompFixture, StabilityFollowsMinAck) {
   stability.on_heartbeat(heartbeat(kP2, 1, 41, /*ack=*/12), 1);
   stability.on_heartbeat(heartbeat(kP3, 0, 42, /*ack=*/11), 0);
   EXPECT_EQ(stability.stable_timestamp(), 11u);
-  const auto releases = stability.collect_stable();
+  const auto releases = stable(stability);
   ASSERT_EQ(releases.size(), 1u);
   EXPECT_EQ(releases[0].first, kP2);
   EXPECT_EQ(releases[0].second, 1u);
   // Second call: nothing new.
-  EXPECT_TRUE(stability.collect_stable().empty());
+  EXPECT_TRUE(stable(stability).empty());
 }
 
 TEST_F(RompFixture, StampAndWitnessKeepLamportProperty) {
@@ -159,9 +159,9 @@ TEST_F(RompFixture, RemoveMemberUnblocksDelivery) {
   receive(regular(kP2, 1, 10));
   stability.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   // P3 silent: stalled. Removing it (as PGMP conviction would) unblocks.
-  EXPECT_TRUE(rule.collect_deliverable(0).empty());
+  EXPECT_TRUE(deliverable(rule).empty());
   remove(kP3);
-  EXPECT_EQ(rule.collect_deliverable(0).size(), 1u);
+  EXPECT_EQ(deliverable(rule).size(), 1u);
 }
 
 TEST_F(RompFixture, RemoveMemberDropsItsPending) {
@@ -169,7 +169,7 @@ TEST_F(RompFixture, RemoveMemberDropsItsPending) {
   remove(kP3);
   stability.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   stability.on_heartbeat(heartbeat(kP2, 0, 20), 0);
-  EXPECT_TRUE(rule.collect_deliverable(0).empty());
+  EXPECT_TRUE(deliverable(rule).empty());
   EXPECT_EQ(rule.pending_count(), 0u);
 }
 
@@ -181,9 +181,9 @@ TEST_F(RompFixture, AddMemberStartsAtGivenBound) {
   stability.on_heartbeat(heartbeat(kP1, 0, 200), 0);
   stability.on_heartbeat(heartbeat(kP2, 1, 200), 1);
   stability.on_heartbeat(heartbeat(kP3, 0, 200), 0);
-  EXPECT_TRUE(rule.collect_deliverable(0).empty());
+  EXPECT_TRUE(deliverable(rule).empty());
   stability.on_heartbeat(heartbeat(ProcessorId{4}, 0, 160), 0);
-  EXPECT_EQ(rule.collect_deliverable(0).size(), 1u);
+  EXPECT_EQ(deliverable(rule).size(), 1u);
 }
 
 TEST_F(RompFixture, DrainUpToCutDeliversExactlyTheCut) {
@@ -227,16 +227,16 @@ TEST_F(RompFixture, DeliveryBatchStopsAtMembershipChange) {
   stability.on_heartbeat(heartbeat(kP3, 0, 20), 0);
   stability.on_heartbeat(heartbeat(kP2, 3, 20), 3);
 
-  auto batch = rule.collect_deliverable(0);
+  auto batch = deliverable(rule);
   ASSERT_EQ(batch.size(), 1u) << "batch must end at the AddProcessor";
   EXPECT_EQ(batch[0].header.type, MessageType::kAddProcessor);
 
   // The session applies the ADD: the new member P4 joins with bound 10.
   stability.add_member(ProcessorId{4}, 10);
-  EXPECT_TRUE(rule.collect_deliverable(0).empty())
+  EXPECT_TRUE(deliverable(rule).empty())
       << "ts 12/14 must now wait for the new member's bound";
   stability.on_heartbeat(heartbeat(ProcessorId{4}, 0, 13), 0);
-  auto next = rule.collect_deliverable(0);
+  auto next = deliverable(rule);
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].header.message_timestamp, 12u);
 }
@@ -258,7 +258,7 @@ TEST_F(RompFixture, ConsumedBoundaryCoversControlMessages) {
   EXPECT_EQ(stability.consumed_up_to(kP2), 0u);
   stability.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   stability.on_heartbeat(heartbeat(kP3, 0, 20), 0);
-  (void)rule.collect_deliverable(0);  // delivers seq 1
+  (void)deliverable(rule);  // delivers seq 1
   EXPECT_EQ(stability.consumed_up_to(kP2), 3u)
       << "boundary passes the delivered Regular AND the control messages";
 }
@@ -270,7 +270,7 @@ TEST_F(RompFixture, DuplicateTimestampSourceIsIgnored) {
   stability.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   stability.on_heartbeat(heartbeat(kP2, 2, 20), 2);
   stability.on_heartbeat(heartbeat(kP3, 0, 20), 0);
-  const auto out = rule.collect_deliverable(0);
+  const auto out = deliverable(rule);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].header.sequence_number, 1u) << "the first copy is kept";
 }
@@ -283,7 +283,7 @@ TEST_F(RompFixture, NonMonotonicTimestampIsSortedIn) {
   receive(regular(kP3, 1, 20));
   stability.on_heartbeat(heartbeat(kP1, 0, 40), 0);
   stability.on_heartbeat(heartbeat(kP3, 1, 40), 1);
-  const auto out = rule.collect_deliverable(0);
+  const auto out = deliverable(rule);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].header.message_timestamp, 15u);
   EXPECT_EQ(out[1].header.message_timestamp, 20u);
@@ -319,7 +319,7 @@ TEST_F(RompFixture, DrainMergesHeadsAndDropsOnlyNonSurvivors) {
   stability.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   stability.on_heartbeat(heartbeat(kP2, 3, 20), 3);
   stability.on_heartbeat(heartbeat(kP4, 3, 20), 3);
-  const auto rest = rule.collect_deliverable(0);
+  const auto rest = deliverable(rule);
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].header.source, kP2);
   EXPECT_EQ(rest[1].header.source, kP4);

@@ -248,5 +248,87 @@ TEST(Orb, InvokeOnUnreadyConnectionFails) {
   EXPECT_FALSE(orb.invoke(0, conn(), kEcho, "echo", args, nullptr).has_value());
 }
 
+// ---- duplicate suppression before decode (docs/METRICS.md) ----
+
+// An ORB fed deliveries directly: one processor with the echo servant and
+// no connection (replies it tries to send are refused, which is harmless).
+struct LoneOrb {
+  ftmp::SimHarness h{{}, 41};
+  std::unique_ptr<Orb> orb;
+  std::shared_ptr<EchoServant> servant = std::make_shared<EchoServant>();
+
+  LoneOrb() {
+    h.add_processor(ProcessorId{1}, kDomain, kDomainAddr);
+    orb = std::make_unique<Orb>(h.stack(ProcessorId{1}));
+    orb->activate(kEcho, servant);
+  }
+
+  void deliver(RequestNum num, Bytes giop) {
+    ftmp::DeliveredMessage dm;
+    dm.connection = conn();
+    dm.request_num = num;
+    dm.giop_message = SharedBytes(std::move(giop));
+    orb->on_event(h.now(), ftmp::Event{std::move(dm)});
+  }
+};
+
+Bytes echo_request(RequestNum num) {
+  giop::CdrWriter args;
+  args.string("copy");
+  giop::Request request;
+  request.request_id = static_cast<std::uint32_t>(num);
+  request.object_key = kEcho.key;
+  request.operation = "echo";
+  request.body = args.bytes();
+  giop::GiopMessage msg;
+  msg.body = std::move(request);
+  return giop::encode(msg);
+}
+
+// A valid GIOP header announcing a Request whose body is cut short: the
+// header names the message kind, but decode() fails.
+Bytes corrupt_request(RequestNum num) {
+  Bytes b = echo_request(num);
+  b.pop_back();
+  return b;
+}
+
+TEST(OrbDedup, UndecodableFirstCopyDoesNotShadowAGoodCopy) {
+  LoneOrb w;
+  w.deliver(1, corrupt_request(1));
+  EXPECT_EQ(w.orb->stats().undecodable_payloads, 1u);
+  EXPECT_EQ(w.orb->stats().requests_dispatched, 0u);
+  EXPECT_FALSE(w.orb->dedup().seen(conn(), 1, ft::MessageKind::kRequest))
+      << "a copy that failed to decode is not recorded";
+
+  w.deliver(1, echo_request(1));
+  w.deliver(1, echo_request(1));
+  EXPECT_EQ(w.orb->stats().requests_dispatched, 1u) << "dispatched exactly once";
+  EXPECT_EQ(w.servant->invocations, 1);
+  EXPECT_EQ(w.orb->stats().undecodable_payloads, 1u);
+  EXPECT_EQ(w.orb->stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(w.orb->dedup().stats().accepted, 1u);
+  EXPECT_EQ(w.orb->dedup().stats().suppressed, 1u);
+}
+
+// A copy of an accepted request is dropped on its GIOP header: a duplicate
+// with a corrupt body counts as a duplicate, not as undecodable, which
+// shows that its body was never decoded.
+TEST(OrbDedup, DuplicateIsSuppressedWithoutDecoding) {
+  LoneOrb w;
+  w.deliver(7, echo_request(7));
+  ASSERT_EQ(w.orb->stats().requests_dispatched, 1u);
+  w.deliver(7, corrupt_request(7));
+  w.deliver(7, corrupt_request(7));
+  EXPECT_EQ(w.orb->stats().duplicates_suppressed, 2u);
+  EXPECT_EQ(w.orb->stats().undecodable_payloads, 0u);
+  EXPECT_EQ(w.orb->dedup().stats().suppressed, 2u);
+  EXPECT_EQ(w.orb->stats().requests_dispatched, 1u);
+  // A payload that is not GIOP at all is never taken for a duplicate.
+  w.deliver(7, Bytes{1, 2, 3});
+  EXPECT_EQ(w.orb->stats().undecodable_payloads, 1u);
+  EXPECT_EQ(w.orb->stats().duplicates_suppressed, 2u);
+}
+
 }  // namespace
 }  // namespace ftcorba::orb

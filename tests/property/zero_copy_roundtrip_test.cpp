@@ -6,6 +6,8 @@
 // flag (§5's "identical" rule).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ftmp/messages.hpp"
 #include "ftmp/rmp.hpp"
 
@@ -144,7 +146,8 @@ TEST(RetransmitIdentity, StoredSliceDiffersOnlyInRetransmissionFlag) {
     m.header.source = kPeer;
     m.header.sequence_number = 1;
     const SharedBytes original{encode_message(m)};
-    (void)rmp.on_reliable(0, Frame{m.header, original});
+    std::vector<Frame> delivered;
+    (void)rmp.on_reliable(0, Frame{m.header, original}, delivered);
 
     // The stored slice IS the arrival buffer (no copy, no mutation).
     const auto stored = rmp.stored(kPeer, 1);
