@@ -172,7 +172,6 @@ struct ShardRow {
   double msgs_per_s = 0;
   double allocs_per_delivered = 0;
   double copied_bytes_per_delivered = 0;
-  std::uint64_t ring_drops = 0;
   std::uint64_t ingress_stalls = 0;
   std::uint64_t egress_stalls = 0;
   bool complete = true;
@@ -298,7 +297,6 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   rt.stop();
   for (std::size_t s = 0; s < rt.shard_count(); ++s) {
     const runtime::ShardStats st = rt.shard_stats(s);
-    row.ring_drops += st.ring_drops;
     row.ingress_stalls += st.ingress_stalls;
     row.egress_stalls += st.egress_stalls;
   }
@@ -322,11 +320,10 @@ void write_shards_json(const char* path, bool quick,
                  "    {\"shards\": %zu, \"msgs_per_s\": %.1f, "
                  "\"allocs_per_delivered_msg\": %.3f, "
                  "\"copied_bytes_per_delivered_msg\": %.1f, "
-                 "\"ring_drops\": %llu, \"ingress_stalls\": %llu, "
+                 "\"ingress_stalls\": %llu, "
                  "\"egress_stalls\": %llu, \"complete\": %s}%s\n",
                  r.shards, r.msgs_per_s, r.allocs_per_delivered,
                  r.copied_bytes_per_delivered,
-                 (unsigned long long)r.ring_drops,
                  (unsigned long long)r.ingress_stalls,
                  (unsigned long long)r.egress_stalls,
                  r.complete ? "true" : "false", i + 1 < rows.size() ? "," : "");
@@ -344,20 +341,18 @@ int run_shard_sweep(std::size_t max_shards, bool quick, const char* json_path) {
   for (std::size_t s = 1; s <= max_shards; s *= 2) counts.push_back(s);
   if (counts.back() != max_shards) counts.push_back(max_shards);
 
-  std::printf("%6s | %11s | %10s | %11s | %9s | %9s | %8s\n", "shards",
-              "msgs/s", "allocs/dlv", "copiedB/dlv", "in-stall", "eg-stall",
-              "drops");
+  std::printf("%6s | %11s | %10s | %11s | %9s | %9s\n", "shards", "msgs/s",
+              "allocs/dlv", "copiedB/dlv", "in-stall", "eg-stall");
   std::printf("-------+-------------+------------+-------------+-----------+"
-              "-----------+---------\n");
+              "-----------\n");
   std::vector<ShardRow> rows;
   for (std::size_t s : counts) {
     const ShardRow r = run_shard_flood(s, per_source);
-    std::printf("%6zu | %11.0f | %10.3f | %11.1f | %9llu | %9llu | %8llu%s\n",
+    std::printf("%6zu | %11.0f | %10.3f | %11.1f | %9llu | %9llu%s\n",
                 r.shards, r.msgs_per_s, r.allocs_per_delivered,
                 r.copied_bytes_per_delivered,
                 (unsigned long long)r.ingress_stalls,
                 (unsigned long long)r.egress_stalls,
-                (unsigned long long)r.ring_drops,
                 r.complete ? "" : "  [TIMEOUT]");
     rows.push_back(r);
   }

@@ -11,6 +11,10 @@ namespace ftcorba::ft {
 
 namespace {
 
+// Anti-entropy cadence: a live, caught-up member multicasts a StateDigest
+// this often (one also follows every install).
+constexpr Duration kDigestInterval = 500 * kMillisecond;
+
 [[nodiscard]] std::uint64_t mix64(std::uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
@@ -613,9 +617,8 @@ void StateTransferManager::tick(TimePoint now) {
       }
     }
   }
-  if (live_ && caught_up() && config_.state_digest_interval > 0 &&
-      (last_digest_sent_ < 0 ||
-       now - last_digest_sent_ >= config_.state_digest_interval)) {
+  if (live_ && caught_up() &&
+      (last_digest_sent_ < 0 || now - last_digest_sent_ >= kDigestInterval)) {
     send_digest(now);
   }
 }

@@ -112,13 +112,9 @@ struct Config {
   /// Capacity of the parked-send FIFO. A send arriving with the queue at
   /// capacity is dropped, counted (ftmp_flow_send_queue_dropped_total),
   /// traced, and reported as SendStatus::kRejected. 0 = unlimited.
+  /// FlowListener high/low watermark callbacks fire at 3/4 and 1/4 of this
+  /// depth (the ORB defers new client requests in between).
   std::size_t flow_send_queue_limit = 1024;
-
-  /// Parked-queue depths at which FlowListener high/low watermark
-  /// callbacks fire (the ORB defers new client requests in between).
-  /// 0 = derived: high = 3/4 of flow_send_queue_limit, low = 1/4.
-  std::size_t flow_queue_high_watermark = 0;
-  std::size_t flow_queue_low_watermark = 0;
 
   // ---- egress batching (docs/BATCHING.md, docs/WIRE.md) ----
 
@@ -137,16 +133,6 @@ struct Config {
   /// loop step). Effective resolution is the driver's drain cadence (the
   /// sim harness and UDP driver both drain at least once per tick).
   std::uint64_t batch_flush_us = 500;
-
-  // ---- RMP retransmission-request backoff (docs/RECOVERY.md) ----
-
-  /// Jittered exponential backoff for repeated RetransmitRequests about the
-  /// same gap: the spacing starts at nack_interval and doubles per repeat
-  /// up to this cap, with deterministic per-(requester, source) jitter —
-  /// capping the NACK storm when a rejoiner discovers a large gap. Any
-  /// delivery progress from the source resets the spacing to nack_interval.
-  /// 0 disables backoff entirely (default — fixed nack_interval spacing).
-  Duration nack_backoff_max = 0;
 
   // ---- state transfer (docs/RECOVERY.md) ----
 
@@ -167,11 +153,6 @@ struct Config {
   /// Donor side: a retained snapshot whose joiner has gone silent for this
   /// long is discarded (the joiner re-anchors at a newer view anyway).
   Duration state_snapshot_ttl = 2 * kSecond;
-
-  /// Anti-entropy cadence: members multicast a StateDigest this often while
-  /// idle (one is always sent right after an install). 0 disables periodic
-  /// digests (install-triggered digests still flow).
-  Duration state_digest_interval = 500 * kMillisecond;
 
   /// Slow-receiver policy thresholds, in timestamp ticks of stability lag
   /// (how far a member's ack timestamp trails the group maximum). Past

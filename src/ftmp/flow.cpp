@@ -112,24 +112,17 @@ void FlowController::on_stable(TimePoint now, SeqNum up_to) {
   metrics_.window_bytes.add(-static_cast<std::int64_t>(freed_bytes));
 }
 
+// Derived from the queue limit: raise at 3/4, release at 1/4 — strictly
+// below the raise for every limit, so the listener cannot flap.
 std::size_t FlowController::high_watermark() const {
-  if (config_.flow_queue_high_watermark > 0) {
-    return config_.flow_queue_high_watermark;
+  if (config_.flow_send_queue_limit == 0) {
+    return 64;  // unlimited queue: a fixed default keeps backpressure alive
   }
-  if (config_.flow_send_queue_limit > 0) {
-    return std::max<std::size_t>(1, config_.flow_send_queue_limit * 3 / 4);
-  }
-  return 64;  // unlimited queue: a fixed default keeps backpressure alive
+  return std::max<std::size_t>(1, config_.flow_send_queue_limit * 3 / 4);
 }
 
 std::size_t FlowController::low_watermark() const {
-  std::size_t low = config_.flow_queue_low_watermark;
-  if (low == 0) {
-    low = config_.flow_send_queue_limit > 0 ? config_.flow_send_queue_limit / 4
-                                            : 16;
-  }
-  // The release must sit strictly below the raise or the listener flaps.
-  return std::min(low, high_watermark() - 1);
+  return config_.flow_send_queue_limit > 0 ? config_.flow_send_queue_limit / 4 : 16;
 }
 
 bool FlowController::park(TimePoint now, Parked&& p) {

@@ -155,7 +155,7 @@ class FlowController {
   /// session forwards them to the installed FlowListener).
   [[nodiscard]] std::vector<FlowSignal> take_signals();
 
-  /// Effective watermarks (configured or derived from the queue limit).
+  /// Watermarks derived from flow_send_queue_limit (3/4 and 1/4).
   [[nodiscard]] std::size_t high_watermark() const;
   [[nodiscard]] std::size_t low_watermark() const;
 

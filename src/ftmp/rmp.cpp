@@ -56,44 +56,6 @@ Rmp::Rmp(ProcessorId self, const Config& config) : self_(self), config_(config) 
       "Gap-detection-to-repair latency: open gap first observed until the "
       "stream is contiguous again",
       "ms", "rmp", metrics::latency_buckets_ms());
-  metrics_.backoff_delays = metrics::counter(
-      "ftmp_rmp_retrans_backoff_delays_total",
-      "NACK rounds issued at a backed-off (greater than nack_interval) "
-      "spacing",
-      "rounds", "rmp");
-  metrics_.backoff_resets = metrics::counter(
-      "ftmp_rmp_retrans_backoff_resets_total",
-      "Backoff resets to nack_interval after delivery progress from the "
-      "source",
-      "resets", "rmp");
-  metrics_.backoff_interval_ms = metrics::histogram(
-      "ftmp_rmp_retrans_backoff_interval_ms",
-      "NACK spacing in force when each NACK round was issued (backoff "
-      "enabled only)",
-      "ms", "rmp", metrics::latency_buckets_ms());
-}
-
-Duration Rmp::nack_spacing(const SourceState& st, ProcessorId src) const {
-  if (config_.nack_backoff_max <= 0 || st.nack_attempts == 0) {
-    return config_.nack_interval;
-  }
-  const Duration cap = std::max(config_.nack_backoff_max, config_.nack_interval);
-  Duration base = config_.nack_interval;
-  for (std::uint32_t i = 0; i < st.nack_attempts && base < cap; ++i) {
-    base = std::min(base * 2, cap);
-  }
-  // Deterministic jitter (no wall-clock randomness — chaos campaigns must
-  // replay bit-identically): spread repeated requesters for the same gap
-  // across [base, base + base/4] by hashing (requester, source, round).
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  h ^= self_.raw();
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= src.raw();
-  h *= 0x94d049bb133111ebull;
-  h ^= st.nack_attempts;
-  h ^= h >> 31;
-  const Duration jitter = static_cast<Duration>(h % (base / 4 + 1));
-  return base + jitter;
 }
 
 void Rmp::update_gap_state(TimePoint now, SourceState& st) {
@@ -220,12 +182,6 @@ RmpAccept Rmp::on_reliable(TimePoint now, Frame frame, std::vector<Frame>& out) 
   const std::size_t first = out.size();
   if (seq == st.contiguous + 1) {
     disposed = RmpAccept::kDelivered;
-    // Delivery progress: the NACKs are working — drop back to the fast
-    // fixed spacing for whatever gap remains.
-    if (st.nack_attempts > 0) {
-      st.nack_attempts = 0;
-      metrics_.backoff_resets.add();
-    }
     st.contiguous = seq;
     stats_.delivered_in_order += 1;
     out.push_back(std::move(frame));
@@ -302,15 +258,8 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
 }
 
 void Rmp::queue_nacks(TimePoint now, SourceState& st, ProcessorId src) {
-  const Duration spacing = nack_spacing(st, src);
-  if (now - st.last_nack < spacing) return;
+  if (now - st.last_nack < config_.nack_interval) return;
   st.last_nack = now;
-  if (config_.nack_backoff_max > 0) {
-    if (st.nack_attempts > 0) metrics_.backoff_delays.add();
-    metrics_.backoff_interval_ms.observe(to_ms(spacing));
-    // Exponent saturates well past the cap; keeps the shift bounded.
-    if (st.nack_attempts < 32) st.nack_attempts += 1;
-  }
   // Walk the gap structure: missing runs between contiguous+1 and
   // highest_seen, skipping seqs buffered out of order.
   SeqNum cursor = st.contiguous + 1;

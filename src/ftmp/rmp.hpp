@@ -212,9 +212,6 @@ class Rmp {
     SeqWindow<Frame> out_of_order;
     TimePoint last_nack = -1'000'000'000;
     TimePoint gap_open_since = -1;  // when the oldest open gap was detected
-    // Consecutive NACK rounds issued without delivery progress from this
-    // source — drives the jittered exponential backoff (nack_backoff_max).
-    std::uint32_t nack_attempts = 0;
   };
 
   // Process-global instruments shared by every Rmp instance (docs/METRICS.md).
@@ -229,9 +226,6 @@ class Rmp {
     metrics::GaugeHandle store_bytes;
     metrics::GaugeHandle out_of_order;
     metrics::HistogramHandle gap_repair_ms;
-    metrics::CounterHandle backoff_delays;
-    metrics::CounterHandle backoff_resets;
-    metrics::HistogramHandle backoff_interval_ms;
   };
 
   /// One stored message: the bytes as transmitted, plus when this
@@ -255,11 +249,6 @@ class Rmp {
   /// Drops `store`'s entries with seq <= up_to from the byte accounting.
   void drop_stored(SeqWindow<Stored>& store, SeqNum up_to);
   void update_gap_state(TimePoint now, SourceState& st);
-
-  /// The NACK spacing currently in force for `st` toward `src`: the fixed
-  /// nack_interval, or — with nack_backoff_max set — an exponentially grown,
-  /// deterministically jittered interval (docs/RECOVERY.md).
-  [[nodiscard]] Duration nack_spacing(const SourceState& st, ProcessorId src) const;
 
   void detect_gaps(TimePoint now, SourceState& st, ProcessorId src);
   void queue_nacks(TimePoint now, SourceState& st, ProcessorId src);

@@ -18,6 +18,22 @@ namespace {
 // shard.
 constexpr std::size_t kMetricShards = 16;
 
+// Cadence of each threaded shard's Stack::tick — the resolution of the
+// heartbeat / fault-detector / NACK / batch micro-flush timers, like the
+// granularity handed to Stack::tick by the other drivers.
+constexpr Duration kTickGranularity = 1 * kMillisecond;
+
+// Max frames a shard consumes from its ingress ring per loop iteration
+// before running its tick and draining egress (keeps egress latency and
+// timer jitter bounded under flood).
+constexpr std::size_t kIngressBurst = 64;
+
+// Idle strategy: a shard that found no work yields this many loop
+// iterations before sleeping kIdleSleep (single-core friendly: the yields
+// let the producer run).
+constexpr std::size_t kSpinIterations = 64;
+constexpr auto kIdleSleep = std::chrono::microseconds(50);
+
 std::string shard_metric(std::size_t shard, const char* suffix) {
   return "ftmp_runtime_shard" + std::to_string(shard) + "_" + suffix;
 }
@@ -33,7 +49,7 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
   inline_mode_ = config_.shards == 1 && config_.inline_single_shard;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>(config_, !inline_mode_);
+    auto sh = std::make_unique<Shard>(!inline_mode_);
     sh->stack = std::make_unique<ftmp::Stack>(self_, domain_, domain_addr_,
                                               stack_config_);
     if (i < kMetricShards) {
@@ -43,10 +59,6 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
       sh->m_delivered = metrics::counter(
           shard_metric(i, "delivered_total"),
           "Ordered messages this shard delivered upward", "messages", "runtime");
-      sh->m_drops = metrics::counter(
-          shard_metric(i, "ring_drops_total"),
-          "Ingress frames dropped with this shard's ring full (drop_when_full)",
-          "frames", "runtime");
       sh->m_stalls = metrics::counter(
           shard_metric(i, "stalls_total"),
           "Backpressure waits on this shard's rings (ingress full or egress full)",
@@ -70,9 +82,6 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
       "ftmp_runtime_malformed_batches_total",
       "FTMB envelopes the routing front could not fully parse", "datagrams",
       "runtime");
-  m_drops_ = metrics::counter("ftmp_runtime_ring_drops_total",
-                              "Ingress frames dropped across all shards",
-                              "frames", "runtime");
   m_stalls_ = metrics::counter(
       "ftmp_runtime_backpressure_stalls_total",
       "Yield-spins while a shard ring was full (front ingress + shard egress)",
@@ -287,6 +296,12 @@ void ShardedRuntime::start() {
   if (inline_mode_ || running()) return;
   stop_requested_.store(false, std::memory_order_release);
   exited_.store(0, std::memory_order_release);
+  // Publish the subscriptions the control plane set up; the shard threads
+  // refresh them from their first tick on.
+  for (auto& sh : shards_) {
+    std::lock_guard lk(sh->sub_mu);
+    sh->subs = sh->stack->subscriptions();
+  }
   running_.store(true, std::memory_order_release);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->thread = std::thread([this, i] { shard_main(i); });
@@ -326,12 +341,6 @@ void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) 
   Shard& sh = *shards_[shard];
   Inbound in{now, std::move(d)};
   if (sh.ingress->try_push(std::move(in))) return;
-  if (config_.drop_when_full) {
-    sh.ring_drops.fetch_add(1, std::memory_order_relaxed);
-    sh.m_drops.add();
-    m_drops_.add();
-    return;
-  }
   // Backpressure: yield until the shard catches up (single-core friendly —
   // the yield is what lets the consumer run at all).
   std::uint64_t spins = 0;
@@ -387,7 +396,7 @@ void ShardedRuntime::ingest(TimePoint now, const net::Datagram& datagram) {
 }
 
 void ShardedRuntime::tick(TimePoint now) {
-  if (!inline_mode_) return;  // threaded shards tick from their own wheels
+  if (!inline_mode_) return;  // threaded shards tick on their own deadline
   shards_[0]->stack->tick(now);
 }
 
@@ -474,7 +483,6 @@ ShardStats ShardedRuntime::shard_stats(std::size_t shard) const {
   s.frames_in = sh.frames_in.load(std::memory_order_relaxed);
   s.delivered = sh.delivered.load(std::memory_order_relaxed);
   s.egress_datagrams = sh.egress_datagrams.load(std::memory_order_relaxed);
-  s.ring_drops = sh.ring_drops.load(std::memory_order_relaxed);
   s.ingress_stalls = sh.ingress_stalls.load(std::memory_order_relaxed);
   s.egress_stalls = sh.egress_stalls.load(std::memory_order_relaxed);
   s.ticks = sh.ticks.load(std::memory_order_relaxed);
@@ -500,8 +508,7 @@ ftmp::Stack& ShardedRuntime::stack(std::size_t shard) {
 
 // ---- shard thread ---------------------------------------------------------
 
-void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
-  (void)now;
+void ShardedRuntime::run_stack_step(Shard& sh) {
   auto packets = sh.stack->take_packets();
   if (!packets.empty()) {
     sh.egress_datagrams.fetch_add(packets.size(), std::memory_order_relaxed);
@@ -542,16 +549,16 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
 
 void ShardedRuntime::shard_main(std::size_t index) {
   Shard& sh = *shards_[index];
-  TimerWheel wheel(config_.tick_granularity);
   TimePoint now = wall_now();
-  wheel.schedule(now + config_.tick_granularity, 0);
+  // Ticks fall on granularity boundaries: the first one after now.
+  TimePoint next_tick = now - now % kTickGranularity + kTickGranularity;
   std::size_t idle = 0;
   for (;;) {
     bool did_work = false;
 
     Inbound in;
     std::size_t burst = 0;
-    while (burst < config_.ingress_burst && sh.ingress->try_pop(in)) {
+    while (burst < kIngressBurst && sh.ingress->try_pop(in)) {
       now = std::max(now, in.now);
       sh.stack->on_datagram(in.now, in.datagram);
       in.datagram = net::Datagram{};
@@ -575,7 +582,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
     }
 
     now = std::max(now, wall_now());
-    wheel.advance(now, [&](std::uint64_t) {
+    if (now >= next_tick) {
       sh.stack->tick(now);
       sh.ticks.fetch_add(1, std::memory_order_relaxed);
       sh.m_depth.set(std::int64_t(sh.ingress->size()));
@@ -583,10 +590,10 @@ void ShardedRuntime::shard_main(std::size_t index) {
         std::lock_guard lk(sh.sub_mu);
         sh.subs = sh.stack->subscriptions();
       }
-      wheel.schedule(now + config_.tick_granularity, 0);
-    });
+      next_tick = now - now % kTickGranularity + kTickGranularity;
+    }
 
-    run_stack_step(sh, now);
+    run_stack_step(sh);
 
     if (did_work) {
       idle = 0;
@@ -596,16 +603,15 @@ void ShardedRuntime::shard_main(std::size_t index) {
         !sh.has_cmds.load(std::memory_order_acquire)) {
       // Drained: flush whatever the final tick produced and exit.
       sh.stack->tick(std::max(now, wall_now()));
-      run_stack_step(sh, now);
+      run_stack_step(sh);
       exited_.fetch_add(1, std::memory_order_release);
       break;
     }
     ++idle;
-    if (idle <= config_.spin_iterations) {
+    if (idle <= kSpinIterations) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(config_.idle_sleep > 0 ? config_.idle_sleep : 1));
+      std::this_thread::sleep_for(kIdleSleep);
     }
   }
 }

@@ -47,7 +47,6 @@
 #include "ftmp/stack.hpp"
 #include "net/packet.hpp"
 #include "runtime/spsc_ring.hpp"
-#include "runtime/timer_wheel.hpp"
 
 namespace ftcorba::runtime {
 
@@ -60,6 +59,14 @@ namespace ftcorba::runtime {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// Capacity of each threaded shard's ingress frame ring (front -> shard). A
+/// full ring backpressures the front thread (yield-spin until the shard
+/// catches up, counted as stalls).
+inline constexpr std::size_t kIngressRingCapacity = 4096;
+
+/// Capacity of each threaded shard's egress datagram ring (shard -> front).
+inline constexpr std::size_t kEgressRingCapacity = 8192;
 
 /// Runtime-layer configuration (the protocol itself is ftmp::Config).
 struct RuntimeConfig {
@@ -78,34 +85,6 @@ struct RuntimeConfig {
   /// (create_group / expect_join), giving exact balance for benchmarks.
   enum class Placement : std::uint8_t { kHash, kRoundRobin };
   Placement placement = Placement::kHash;
-
-  /// Capacity of each shard's ingress frame ring (front -> shard).
-  std::size_t ingress_ring_capacity = 4096;
-
-  /// Capacity of each shard's egress datagram ring (shard -> front).
-  std::size_t egress_ring_capacity = 8192;
-
-  /// Ingress overflow policy: false (default) backpressures the front
-  /// thread (yield-spin until the shard catches up, counted as stalls);
-  /// true drops the frame like a congested NIC queue (counted as drops —
-  /// RMP recovers via retransmission).
-  bool drop_when_full = false;
-
-  /// Cadence of each shard's timer wheel tick — the resolution of the
-  /// heartbeat / fault-detector / NACK / batch micro-flush timers, exactly
-  /// like the granularity handed to Stack::tick by the other drivers.
-  Duration tick_granularity = 1 * kMillisecond;
-
-  /// Max frames a shard consumes from its ingress ring per loop iteration
-  /// before running timers and draining egress (keeps egress latency and
-  /// timer jitter bounded under flood).
-  std::size_t ingress_burst = 64;
-
-  /// Idle strategy: a shard that found no work yields this many loop
-  /// iterations before sleeping idle_sleep (single-core friendly: the
-  /// yields let the producer run).
-  std::size_t spin_iterations = 64;
-  Duration idle_sleep = 50 * kMicrosecond;
 };
 
 /// Point-in-time counters for one shard (tests, benches, ftmp_inspect).
@@ -113,10 +92,9 @@ struct ShardStats {
   std::uint64_t frames_in = 0;        ///< frames popped and fed to the stack
   std::uint64_t delivered = 0;        ///< DeliveredMessage events emitted
   std::uint64_t egress_datagrams = 0; ///< datagrams pushed toward the front
-  std::uint64_t ring_drops = 0;       ///< ingress frames dropped (drop_when_full)
   std::uint64_t ingress_stalls = 0;   ///< front backpressure waits on this shard
   std::uint64_t egress_stalls = 0;    ///< shard waits on a full egress ring
-  std::uint64_t ticks = 0;            ///< timer-wheel fires (Stack::tick calls)
+  std::uint64_t ticks = 0;            ///< Stack::tick calls
   std::size_t ingress_depth = 0;      ///< ingress ring occupancy snapshot
   std::size_t egress_depth = 0;       ///< egress ring occupancy snapshot
   /// Slots allocated across the ingress and egress rings (0 inline: an
@@ -184,7 +162,7 @@ class ShardedRuntime {
   void ingest(TimePoint now, const net::Datagram& datagram);
 
   /// Inline mode: advances the single stack's timers (threaded shards tick
-  /// themselves from their timer wheels; then this is a no-op).
+  /// themselves on their own deadline; then this is a no-op).
   void tick(TimePoint now);
 
   /// Appends every produced datagram to `out` (per-shard egress rings in
@@ -219,10 +197,10 @@ class ShardedRuntime {
   };
 
   struct Shard {
-    Shard(const RuntimeConfig& cfg, bool threaded) {
+    explicit Shard(bool threaded) {
       if (threaded) {
-        ingress.emplace(cfg.ingress_ring_capacity);
-        egress.emplace(cfg.egress_ring_capacity);
+        ingress.emplace(kIngressRingCapacity);
+        egress.emplace(kEgressRingCapacity);
       }
     }
 
@@ -242,8 +220,8 @@ class ShardedRuntime {
     std::mutex ev_mu;
     std::vector<ftmp::Event> events;
 
-    // Published copy of the stack's subscriptions (shard thread refreshes
-    // on tick; any thread reads under sub_mu).
+    // Published copy of the stack's subscriptions (start() seeds it, the
+    // shard thread refreshes it on tick; any thread reads under sub_mu).
     mutable std::mutex sub_mu;
     std::vector<McastAddress> subs;
 
@@ -251,7 +229,6 @@ class ShardedRuntime {
     std::atomic<std::uint64_t> frames_in{0};
     std::atomic<std::uint64_t> delivered{0};
     std::atomic<std::uint64_t> egress_datagrams{0};
-    std::atomic<std::uint64_t> ring_drops{0};
     std::atomic<std::uint64_t> ingress_stalls{0};
     std::atomic<std::uint64_t> egress_stalls{0};
     std::atomic<std::uint64_t> ticks{0};
@@ -259,7 +236,6 @@ class ShardedRuntime {
     // Per-shard instruments (docs/METRICS.md, first kMetricShards shards).
     metrics::CounterHandle m_frames;
     metrics::CounterHandle m_delivered;
-    metrics::CounterHandle m_drops;
     metrics::CounterHandle m_stalls;
     metrics::GaugeHandle m_depth;
   };
@@ -281,7 +257,7 @@ class ShardedRuntime {
   void enqueue(std::size_t shard, TimePoint now, net::Datagram d);
   void post(std::size_t shard, std::function<void(ftmp::Stack&, TimePoint)> fn);
   void shard_main(std::size_t index);
-  void run_stack_step(Shard& sh, TimePoint now);
+  void run_stack_step(Shard& sh);
 
   ProcessorId self_;
   FtDomainId domain_;
@@ -311,7 +287,6 @@ class ShardedRuntime {
   metrics::CounterHandle m_routed_;
   metrics::CounterHandle m_split_subframes_;
   metrics::CounterHandle m_malformed_;
-  metrics::CounterHandle m_drops_;
   metrics::CounterHandle m_stalls_;
   metrics::CounterHandle m_egress_;
   metrics::GaugeHandle m_shards_;

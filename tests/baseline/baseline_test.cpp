@@ -96,8 +96,8 @@ TEST_P(BaselineAgreement, SingleSenderFifo) {
 
 INSTANTIATE_TEST_SUITE_P(Protocols, BaselineAgreement,
                          ::testing::Values(Kind::kSequencer, Kind::kTokenRing),
-                         [](const auto& info) {
-                           return info.param == Kind::kSequencer ? "Sequencer"
+                         [](const auto& param_info) {
+                           return param_info.param == Kind::kSequencer ? "Sequencer"
                                                                  : "TokenRing";
                          });
 

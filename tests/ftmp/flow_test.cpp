@@ -98,9 +98,8 @@ TEST(Flow, ParkedQueueBlocksFreshSends) {
 }
 
 TEST(Flow, WatermarksSignalOncePerExcursion) {
-  Config c = flow_config(1, 0, /*queue_limit=*/8);
-  c.flow_queue_high_watermark = 3;
-  c.flow_queue_low_watermark = 1;
+  // A limit of 4 derives a high watermark of 3 and a low one of 1.
+  const Config c = flow_config(1, 0, /*queue_limit=*/4);
   FlowController f(kSelf, kGroup, c);
   f.note_sent(0, 1, 10);
 

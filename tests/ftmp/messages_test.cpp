@@ -103,8 +103,8 @@ TEST_P(MessagesRoundTrip, EveryTypeRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, MessagesRoundTrip,
                          ::testing::Values(ByteOrder::kBig, ByteOrder::kLittle),
-                         [](const auto& info) {
-                           return info.param == ByteOrder::kBig ? "BigEndian"
+                         [](const auto& param_info) {
+                           return param_info.param == ByteOrder::kBig ? "BigEndian"
                                                                 : "LittleEndian";
                          });
 

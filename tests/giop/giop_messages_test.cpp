@@ -60,8 +60,8 @@ TEST_P(GiopRoundTrip, AllEightTypes) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, GiopRoundTrip,
                          ::testing::Values(ByteOrder::kBig, ByteOrder::kLittle),
-                         [](const auto& info) {
-                           return info.param == ByteOrder::kBig ? "BigEndian"
+                         [](const auto& param_info) {
+                           return param_info.param == ByteOrder::kBig ? "BigEndian"
                                                                 : "LittleEndian";
                          });
 

@@ -163,9 +163,7 @@ struct SignalRecorder : FlowListener {
 TEST(FlowIntegration, WatermarksFireThroughListenerAndStatusesReport) {
   Config config;
   config.flow_window_messages = 1;
-  config.flow_send_queue_limit = 4;
-  config.flow_queue_high_watermark = 3;
-  config.flow_queue_low_watermark = 1;
+  config.flow_send_queue_limit = 4;  // derives watermarks 3 and 1
   SimHarness h = make_group(3, config, /*seed=*/11);
   SignalRecorder recorder;
   h.stack(ProcessorId{1}).set_flow_listener(&recorder);

@@ -123,8 +123,8 @@ TEST_P(ZeroCopyRoundTrip, MalformedBodySurvivesIngressFailsAtDelivery) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, ZeroCopyRoundTrip,
                          ::testing::Values(ByteOrder::kBig, ByteOrder::kLittle),
-                         [](const auto& info) {
-                           return info.param == ByteOrder::kBig ? "BigEndian"
+                         [](const auto& param_info) {
+                           return param_info.param == ByteOrder::kBig ? "BigEndian"
                                                                 : "LittleEndian";
                          });
 

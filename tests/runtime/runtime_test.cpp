@@ -43,7 +43,7 @@ TEST(ShardedRuntime, OnlyThreadedShardsBuildRings) {
   cfg.inline_single_shard = false;
   ShardedRuntime threaded(ProcessorId{1}, kDomain, kDomainAddr, patient_config(), cfg);
   EXPECT_EQ(threaded.shard_stats(0).ring_slots,
-            cfg.ingress_ring_capacity + cfg.egress_ring_capacity);
+            kIngressRingCapacity + kEgressRingCapacity);
 }
 
 TEST(ShardedRuntime, HashPlacementIsAStableFunctionOfGroupAndShardCount) {
@@ -91,8 +91,7 @@ TEST(ShardedRuntime, PerShardInstrumentsAppearInTheGlobalRegistry) {
   for (const char* name :
        {"ftmp_runtime_shard0_frames_total", "ftmp_runtime_shard0_delivered_total",
         "ftmp_runtime_shard1_queue_depth", "ftmp_runtime_shard1_stalls_total",
-        "ftmp_runtime_frames_routed_total", "ftmp_runtime_ring_drops_total",
-        "ftmp_runtime_shards"}) {
+        "ftmp_runtime_frames_routed_total", "ftmp_runtime_shards"}) {
     EXPECT_TRUE(names.count(name)) << "missing instrument " << name
                                    << " (ftmp_inspect --metrics surfaces these)";
   }
@@ -226,7 +225,7 @@ TEST(ShardedRuntime, ThreadedLifecycleStartsTicksAndDrains) {
   EXPECT_TRUE(rt.running());
   rt.start();  // idempotent
 
-  // Shards tick on their own wheels: heartbeats must show up as egress.
+  // Shards tick on their own deadline: heartbeats must show up as egress.
   std::vector<net::Datagram> egress;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -245,12 +244,28 @@ TEST(ShardedRuntime, ThreadedLifecycleStartsTicksAndDrains) {
   for (std::size_t s = 0; s < rt.shard_count(); ++s) {
     ticks += rt.shard_stats(s).ticks;
   }
-  EXPECT_GT(ticks, 0u) << "timer wheels must have driven Stack::tick";
+  EXPECT_GT(ticks, 0u) << "shard loops must have driven Stack::tick";
   const auto subs = rt.subscriptions();
   both_subscribed =
       std::find(subs.begin(), subs.end(), McastAddress{201}) != subs.end() &&
       std::find(subs.begin(), subs.end(), McastAddress{202}) != subs.end();
   EXPECT_TRUE(both_subscribed);
+}
+
+// A driver syncs its multicast joins to subscriptions() right after start();
+// the list must not go empty until the shards' first tick, or the driver
+// leaves every address and joins it again a poll later.
+TEST(ShardedRuntime, SubscriptionsStayPublishedAcrossStart) {
+  RuntimeConfig cfg;
+  cfg.shards = 2;
+  ShardedRuntime rt(ProcessorId{1}, kDomain, kDomainAddr, patient_config(), cfg);
+  rt.create_group(wall_now(), ProcessorGroupId{1}, McastAddress{201},
+                  {ProcessorId{1}});
+  const std::vector<McastAddress> before = rt.subscriptions();
+  ASSERT_EQ(before, (std::vector<McastAddress>{kDomainAddr, McastAddress{201}}));
+  rt.start();
+  EXPECT_EQ(rt.subscriptions(), before);
+  rt.stop();
 }
 
 TEST(ShardedRuntime, ThreadedModeRoutesFramesToTheOwningShard) {
@@ -292,20 +307,6 @@ TEST(ShardedRuntime, ThreadedModeRoutesFramesToTheOwningShard) {
       << "group 1 frames must reach group 1's shard";
   EXPECT_GT(rt.shard_stats(shard_g2).frames_in, 0u)
       << "group 2 frames must reach group 2's shard";
-}
-
-TEST(ShardedRuntime, DropWhenFullCountsRingDrops) {
-  RuntimeConfig cfg;
-  cfg.shards = 1;
-  cfg.inline_single_shard = false;  // threaded machinery with one shard
-  cfg.ingress_ring_capacity = 2;
-  cfg.drop_when_full = true;
-  ShardedRuntime rt(ProcessorId{1}, kDomain, kDomainAddr, patient_config(), cfg);
-  // Not started: the shard never consumes, so pushes 3.. must drop.
-  const net::Datagram junk{McastAddress{200}, SharedBytes{bytes_of("not-ftmp")}};
-  for (int i = 0; i < 5; ++i) rt.ingest(1, junk);
-  EXPECT_EQ(rt.shard_stats(0).ring_drops, 3u);
-  EXPECT_EQ(rt.shard_stats(0).ingress_depth, 2u);
 }
 
 }  // namespace
